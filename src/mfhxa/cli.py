@@ -25,11 +25,13 @@ from .csvio import format_number, read_columns, write_csv, write_table
 from .errors import MfhxaError, ParameterError
 from .estimator import (
     EstimationConfig,
+    _decomposition,
+    _pair_moments,
     covariance_grid,
     fit_hurst_single,
     hurst_curve_from_grid,
+    q_range,
     real_preset,
-    scaling_decomposition,
     synthetic_preset,
 )
 from .generators import (
@@ -299,24 +301,6 @@ def cmd_transform(name: str | None, params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- estimate
 
-def _build_config(params: Params, preset_name: str) -> EstimationConfig:
-    base = synthetic_preset() if preset_name == "synthetic" else real_preset()
-    q_min = params.number("q_min", base.q_grid[0])
-    q_max = params.number("q_max", base.q_grid[-1])
-    q_step = params.number("q_step", 0.1)
-    n = int(round((q_max - q_min) / q_step))
-    q_grid = tuple(round(q_min + i * q_step, 10) for i in range(n + 1))
-    return dataclasses.replace(
-        base,
-        q_grid=q_grid,
-        tau_min=params.integer("tau_min", base.tau_min),
-        tau_max_range=params.tau_range("tau_max", base.tau_max_range),
-        filter=params.string("filter", base.filter, choices=("none", "constant", "linear")),
-        min_fit_points=params.integer("min_fit_points", base.min_fit_points),
-        confidence=params.number("confidence", base.confidence),
-    )
-
-
 def _load_series(path: Path, column: int, mode: str) -> TimeSeries:
     _, cols, names = read_columns(path)
     if not 1 <= column <= len(cols):
@@ -334,7 +318,18 @@ def cmd_estimate(params: Params, inputs, out) -> int:
     mode = params.string("input", "levels", choices=("levels", "increments"))
     x_col = params.integer("x_col", 1)
     y_col = params.integer("y_col", 1)
-    config = _build_config(params, preset)
+    base = synthetic_preset() if preset == "synthetic" else real_preset()
+    config = dataclasses.replace(
+        base,
+        q_grid=q_range(params.number("q_min", base.q_grid[0]),
+                       params.number("q_max", base.q_grid[-1]),
+                       params.number("q_step", 0.1)),
+        tau_min=params.integer("tau_min", base.tau_min),
+        tau_max_range=params.tau_range("tau_max", base.tau_max_range),
+        filter=params.string("filter", base.filter, choices=("none", "constant", "linear")),
+        min_fit_points=params.integer("min_fit_points", base.min_fit_points),
+        confidence=params.number("confidence", base.confidence),
+    )
     params.reject_unknown()
 
     paths = _require_inputs(inputs, 1, 2)
@@ -352,10 +347,10 @@ def cmd_estimate(params: Params, inputs, out) -> int:
         n_ok = len(curve.estimates)
     else:
         y = _load_series(paths[1], y_col, mode)
-        grid = covariance_grid(x, y, config)
-        xy = hurst_curve_from_grid(grid)
-        xx = hurst_curve_from_grid(covariance_grid(x, x, config))
-        yy = hurst_curve_from_grid(covariance_grid(y, y, config))
+        moments = _pair_moments(x, y, config)
+        grid = moments.grid("xy")
+        xy, xx, yy = (hurst_curve_from_grid(g)
+                      for g in (grid, moments.grid("xx"), moments.grid("yy")))
         write_pair_curves(
             f"{out_prefix}.curve.tsv", xy, xx, yy, manifest("estimate", meta, paths)
         )
@@ -374,9 +369,9 @@ def cmd_estimate(params: Params, inputs, out) -> int:
 def _decomposition_rows(x: TimeSeries, y: TimeSeries, q: float,
                         config: EstimationConfig):
     """(tau, K_x, K_y, product, covariance) rows plus header slope comments."""
-    dec = scaling_decomposition(x, y, q, config)
-    gx = covariance_grid(x, x, config)
-    gy = covariance_grid(y, y, config)
+    moments = _pair_moments(x, y, config, split=True)
+    dec = _decomposition(moments, config)
+    gx, gy = moments.grid("xx"), moments.grid("yy")
     tau_hi = config.tau_max_range[1]
     h_x = fit_hurst_single(gx, q, tau_hi)
     h_y = fit_hurst_single(gy, q, tau_hi)
@@ -457,9 +452,8 @@ def _two_component_profiles(w: float, seed: int) -> tuple[TimeSeries, TimeSeries
 def _write_panel_curves(outdir: Path, stem: str, x: TimeSeries, y: TimeSeries,
                         config: EstimationConfig, meta: dict,
                         inputs: list[Path]) -> None:
-    xy = hurst_curve_from_grid(covariance_grid(x, y, config))
-    xx = hurst_curve_from_grid(covariance_grid(x, x, config))
-    yy = hurst_curve_from_grid(covariance_grid(y, y, config))
+    moments = _pair_moments(x, y, config)
+    xy, xx, yy = (hurst_curve_from_grid(moments.grid(which)) for which in ("xy", "xx", "yy"))
     write_pair_curves(outdir / f"{stem}_curves.tsv", xy, xx, yy,
                       manifest(f"replicate {stem}", meta, inputs))
 

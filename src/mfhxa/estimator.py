@@ -14,6 +14,12 @@ absolute-increment powers; the covariance part carries its own scaling
 exponent alpha(q) whenever it scales at all. Comparing alpha(q) with the
 average of the univariate exponents separates co-movement inherited from each
 series' own persistence from genuine joint scaling.
+
+Every pair statistic comes from one kernel, `_pair_moments`: per tau it builds
+the detrended increments of each series once and walks the q grid once,
+giving K_xy, K_xx, K_yy and, on request, the product and covariance terms.
+Every (q, tau_max) slope then comes from one pass of prefix sums in
+`_window_slopes`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
 from .errors import (
     ConfidenceUndefinedError,
@@ -167,7 +173,9 @@ def height_covariance(
     """Mean of |filtered increments of X times filtered increments of Y|^(q/2).
 
     For x = y and no filtering this is the univariate q-th order height-height
-    correlation, the mean of |increment|^q.
+    correlation, the mean of |increment|^q. This is the definition evaluated
+    directly at one cell; grids and every pair statistic come from the pair
+    kernel, which agrees with it to rounding.
     """
     if q <= 0:
         raise ParameterError(f"q must be > 0, got {q}")
@@ -176,24 +184,6 @@ def height_covariance(
     dy = _filtered_increments(y.values, tau, filter)
     p = np.abs(dx) * np.abs(dy)
     return float(np.mean(p ** (0.5 * q)))
-
-
-def _moment_means(p: np.ndarray, q_grid: tuple[float, ...]) -> np.ndarray:
-    """mean(p ** (q/2)) for each q; uniform grids use a running power ladder."""
-    q = np.asarray(q_grid)
-    out = np.empty(q.size)
-    d = np.diff(q)
-    if q.size >= 8 and np.all(np.abs(d - d[0]) < 1e-12):
-        cur = p ** (0.5 * q[0])
-        step = p ** (0.5 * d[0])
-        out[0] = cur.mean()
-        for i in range(1, q.size):
-            cur = cur * step
-            out[i] = cur.mean()
-    else:
-        for i, qi in enumerate(q):
-            out[i] = np.mean(p ** (0.5 * qi))
-    return out
 
 
 @dataclass(frozen=True)
@@ -239,19 +229,106 @@ class HeightCovarianceGrid:
         return float(self.k_matrix[self.q_index(q), j])
 
 
+def _ladder_step(q: np.ndarray) -> float | None:
+    """The spacing of a uniform grid of at least 8 q, else None."""
+    d = np.diff(q)
+    if q.size >= 8 and np.all(np.abs(d - d[0]) < 1e-12):
+        return float(d[0])
+    return None
+
+
+def _powers(ax: np.ndarray, ay: np.ndarray, q: np.ndarray, step: float | None):
+    """Yield (ax^(q/2), ay^(q/2)) for each q in order.
+
+    Uniform grids walk a ladder, one multiplication per q; other grids take
+    each power directly. When ay is ax only one ladder is kept, and both
+    values of a pair are the same array.
+    """
+    same = ay is ax
+    if step is None:
+        for qi in q:
+            px = ax ** (0.5 * qi)
+            yield px, px if same else ay ** (0.5 * qi)
+        return
+    px, sx = ax ** (0.5 * q[0]), ax ** (0.5 * step)
+    py, sy = (px, sx) if same else (ay ** (0.5 * q[0]), ay ** (0.5 * step))
+    for i in range(q.size):
+        yield px, py
+        if i + 1 < q.size:
+            np.multiply(px, sx, out=px)
+            if not same:
+                np.multiply(py, sy, out=py)
+
+
+@dataclass(frozen=True)
+class _PairMoments:
+    """Kernel output for one pair on the config's (q, tau) lattice.
+
+    k_xy, k_xx and k_yy have shape (len(q_grid), len(taus)); product and
+    covariance have that shape too when the split was requested, else None.
+    """
+
+    x: TimeSeries
+    y: TimeSeries
+    config: EstimationConfig
+    k_xy: np.ndarray
+    k_xx: np.ndarray
+    k_yy: np.ndarray
+    product: np.ndarray | None
+    covariance: np.ndarray | None
+
+    def grid(self, which: str) -> HeightCovarianceGrid:
+        """The K_xy, K_xx or K_yy grid, for which = 'xy', 'xx' or 'yy'."""
+        k, a, b = {"xy": (self.k_xy, self.x, self.y), "xx": (self.k_xx, self.x, self.x),
+                   "yy": (self.k_yy, self.y, self.y)}[which]
+        return HeightCovarianceGrid(self.config.q_grid, tuple(self.config.taus), k,
+                                    a.label, b.label, self.config)
+
+
+def _pair_moments(
+    x: TimeSeries, y: TimeSeries, config: EstimationConfig, split: bool = False
+) -> _PairMoments:
+    """One pass over the lag-tau increments of a pair for every (q, tau) cell.
+
+    Per tau, the detrended increments of each series are built once and the
+    powers a = |dX|^(q/2), b = |dY|^(q/2) walk the q grid once. Each scaling
+    function is a dot product: K_xy = <a, b>/n, K_xx = <a, a>/n and
+    K_yy = <b, b>/n. With split, the product term mean(a) * mean(b) and the
+    centred covariance mean((a - mean(a)) * (b - mean(b))) are kept as well.
+    Pass y = x for a single series; its increments are then built once. The
+    working set is a few arrays of the series' length.
+    """
+    taus = tuple(config.taus)
+    _check_pair(x, y, taus[-1])
+    q = np.asarray(config.q_grid)
+    step = _ladder_step(q)
+    shape = (q.size, len(taus))
+    k_xy, k_xx, k_yy = np.empty(shape), np.empty(shape), np.empty(shape)
+    product = np.empty(shape) if split else None
+    covariance = np.empty(shape) if split else None
+    for j, tau in enumerate(taus):
+        ax = np.abs(_filtered_increments(x.values, tau, config.filter))
+        ay = ax if y is x else np.abs(_filtered_increments(y.values, tau, config.filter))
+        n = ax.size
+        for i, (a, b) in enumerate(_powers(ax, ay, q, step)):
+            k_xx[i, j] = np.dot(a, a) / n
+            if b is a:
+                k_xy[i, j] = k_yy[i, j] = k_xx[i, j]
+            else:
+                k_xy[i, j] = np.dot(a, b) / n
+                k_yy[i, j] = np.dot(b, b) / n
+            if split:
+                am, bm = a.mean(), b.mean()
+                product[i, j] = am * bm
+                covariance[i, j] = np.mean((a - am) * (b - bm))
+    return _PairMoments(x, y, config, k_xy, k_xx, k_yy, product, covariance)
+
+
 def covariance_grid(
     x: TimeSeries, y: TimeSeries, config: EstimationConfig
 ) -> HeightCovarianceGrid:
     """Evaluate the scaling function on every (q, tau) cell of the config."""
-    taus = tuple(config.taus)
-    _check_pair(x, y, taus[-1])
-    k = np.empty((len(config.q_grid), len(taus)))
-    for j, tau in enumerate(taus):
-        dx = _filtered_increments(x.values, tau, config.filter)
-        dy = _filtered_increments(y.values, tau, config.filter)
-        p = np.abs(dx) * np.abs(dy)
-        k[:, j] = _moment_means(p, config.q_grid)
-    return HeightCovarianceGrid(config.q_grid, taus, k, x.label, y.label, config)
+    return _pair_moments(x, y, config).grid("xy")
 
 
 def _ols_slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -259,25 +336,62 @@ def _ols_slope(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.dot(xc, ys) / np.dot(xc, xc))
 
 
+def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, min_fit_points: int):
+    """OLS slope of log K on log tau over each window tau <= tau_max, per row of k.
+
+    The windows are nested, so after sorting by tau every window is a prefix
+    and one pass of prefix sums of the centred logs gives all (row, window)
+    slopes. tau_maxes must be increasing. Returns (slopes, failures):
+    slopes has shape (rows, windows); failures[i] is None, or (tau_max,
+    error) for the first window in which row i cannot be fitted, with the
+    error a per-window fit raises there: too few taus, or a zero K.
+    """
+    t = np.asarray(taus, dtype=float)
+    order = np.argsort(t, kind="stable")
+    ts, ks = t[order], k[:, order]
+    tm = np.asarray(tau_maxes)
+    counts = np.searchsorted(ts, tm, side="right")
+    if counts[0] < min_fit_points:
+        error = InsufficientPointsError(
+            f"{counts[0]} tau values available up to tau_max={tm[0]}, "
+            f"need {min_fit_points}"
+        )
+        return np.full((ks.shape[0], tm.size), np.nan), [(int(tm[0]), error)] * ks.shape[0]
+
+    zero = ks <= 0
+    first_zero = np.where(zero.any(axis=1), ts[zero.argmax(axis=1)], np.inf)
+    hit = np.searchsorted(tm, first_zero)
+    failures: list = [None] * ks.shape[0]
+    for i in np.flatnonzero(hit < tm.size):
+        tau_max = int(tm[hit[i]])
+        j = np.flatnonzero((t <= tau_max) & (k[i] <= 0))[0]
+        failures[i] = (tau_max, DegenerateScalingError(
+            f"K(q={qs[i]:g}, tau={int(t[j])}) = 0: scaling function is "
+            "degenerate, no Hurst exponent exists"
+        ))
+
+    lt = np.log(ts)
+    lt -= lt.mean()
+    lk = np.log(np.where(zero, 1.0, ks))
+    lk -= lk.mean(axis=1, keepdims=True)
+    last = counts - 1
+    su = np.cumsum(lt)[last]
+    suu = np.cumsum(lt * lt)[last]
+    sv = np.cumsum(lk, axis=1)[:, last]
+    suv = np.cumsum(lk * lt, axis=1)[:, last]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = (suv - su * sv / counts) / (suu - su * su / counts)
+    return slopes, failures
+
+
 def fit_hurst_single(grid: HeightCovarianceGrid, q: float, tau_max: int) -> float:
     """Slope of log K against log tau over tau_min..tau_max, divided by q."""
-    row = grid.row(q)
-    taus = np.asarray(grid.tau_values, dtype=float)
-    mask = taus <= tau_max
-    k = row[mask]
-    t = taus[mask]
-    if t.size < grid.config.min_fit_points:
-        raise InsufficientPointsError(
-            f"{t.size} tau values available up to tau_max={tau_max}, "
-            f"need {grid.config.min_fit_points}"
-        )
-    zero = np.flatnonzero(k <= 0)
-    if zero.size:
-        raise DegenerateScalingError(
-            f"K(q={q:g}, tau={int(t[zero[0]])}) = 0: scaling function is "
-            "degenerate, no Hurst exponent exists"
-        )
-    return _ols_slope(np.log(t), np.log(k)) / q
+    i = grid.q_index(q)
+    slopes, failures = _window_slopes(grid.tau_values, grid.k_matrix[i:i + 1], (q,),
+                                      (tau_max,), grid.config.min_fit_points)
+    if failures[0] is not None:
+        raise failures[0][1]
+    return float(slopes[0, 0]) / q
 
 
 @dataclass(frozen=True)
@@ -308,7 +422,7 @@ def student_t_quantile(p: float, dof: int) -> float:
         raise ParameterError(f"dof must be >= 1, got {dof}")
     if p == 0.5:
         return 0.0
-    return float(_student_t.ppf(p, dof))
+    return float(stdtrit(dof, p))
 
 
 def _effective_dof(config: EstimationConfig, n: int) -> int:
@@ -320,6 +434,63 @@ def _effective_dof(config: EstimationConfig, n: int) -> int:
     """
     lo, hi = config.tau_max_range
     return min(n - 1, int(np.log2(hi / lo)) + 1)
+
+
+def _single_tau_max_error() -> ConfidenceUndefinedError:
+    return ConfidenceUndefinedError(
+        "confidence interval undefined for a single tau_max; widen tau_max_range"
+    )
+
+
+def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig,
+                    min_fit_points: int) -> list:
+    """Jackknife estimate of every row of k (row i at qs[i]) from one fit pass.
+
+    Returns one HurstEstimate per row, or the error that row's estimate
+    raises, its message prefixed with the tau_max of the failing window.
+    """
+    tau_maxes = config.tau_maxes
+    if len(tau_maxes) == 1:
+        return [_single_tau_max_error() for _ in qs]
+    slopes, failures = _window_slopes(taus, k, qs, tau_maxes, min_fit_points)
+    hs = slopes / np.asarray(qs, dtype=float)[:, None]
+    h = hs.mean(axis=1)
+    dof = _effective_dof(config, len(tau_maxes))
+    half = student_t_quantile(0.5 * (1.0 + config.confidence), dof) * hs.std(axis=1, ddof=1)
+    out: list = []
+    for i, q in enumerate(qs):
+        if failures[i] is not None:
+            tau_max, exc = failures[i]
+            out.append(type(exc)(f"tau_max={tau_max}: {exc}"))
+            continue
+        hi, wi = float(h[i]), float(half[i])
+        try:
+            out.append(HurstEstimate(float(q), hi, hi - wi, hi + wi, len(tau_maxes),
+                                     tuple(zip(tau_maxes, hs[i].tolist()))))
+        except MfhxaError as exc:
+            out.append(exc)
+    return out
+
+
+def _grid_estimates(grid: HeightCovarianceGrid, qs, config: EstimationConfig) -> list:
+    """_jackknife_rows on the grid's rows at qs, in order.
+
+    A q that is not on the grid fails as its first window would.
+    """
+    if len(config.tau_maxes) == 1:
+        return [_single_tau_max_error() for _ in qs]
+    results: list = []
+    for q in qs:
+        try:
+            results.append(grid.q_index(q))
+        except ParameterError as exc:
+            results.append(ParameterError(f"tau_max={config.tau_max_range[0]}: {exc}"))
+    found = [i for i, r in enumerate(results) if isinstance(r, int)]
+    fitted = _jackknife_rows(grid.tau_values, grid.k_matrix[[results[i] for i in found]],
+                             [qs[i] for i in found], config, grid.config.min_fit_points)
+    for i, result in zip(found, fitted):
+        results[i] = result
+    return results
 
 
 def jackknife_hurst(
@@ -334,24 +505,10 @@ def jackknife_hurst(
     deviation over the fits and dof the effective (octave-based) count of
     independent fits in the family.
     """
-    tau_maxes = list(config.tau_maxes)
-    if len(tau_maxes) == 1:
-        raise ConfidenceUndefinedError(
-            "confidence interval undefined for a single tau_max; widen tau_max_range"
-        )
-    per = []
-    for tm in tau_maxes:
-        try:
-            per.append((tm, fit_hurst_single(grid, q, tm)))
-        except MfhxaError as exc:
-            raise type(exc)(f"tau_max={tm}: {exc}") from exc
-    hs = np.array([h for _, h in per])
-    h = float(hs.mean())
-    s = float(hs.std(ddof=1))
-    n = hs.size
-    dof = _effective_dof(config, n)
-    half = student_t_quantile(0.5 * (1.0 + config.confidence), dof) * s
-    return HurstEstimate(float(q), h, h - half, h + half, n, tuple(per))
+    (result,) = _grid_estimates(grid, (q,), config)
+    if isinstance(result, MfhxaError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -381,11 +538,11 @@ def hurst_curve_from_grid(grid: HeightCovarianceGrid) -> GeneralizedHurstCurve:
     config = grid.config
     estimates: list[HurstEstimate] = []
     failures: list[tuple[float, str]] = []
-    for q in config.q_grid:
-        try:
-            estimates.append(jackknife_hurst(grid, q, config))
-        except MfhxaError as exc:
-            failures.append((q, str(exc)))
+    for q, result in zip(config.q_grid, _grid_estimates(grid, config.q_grid, config)):
+        if isinstance(result, MfhxaError):
+            failures.append((q, str(result)))
+        else:
+            estimates.append(result)
     return GeneralizedHurstCurve(
         tuple(estimates), grid.x_label, grid.y_label, config, tuple(failures)
     )
@@ -443,20 +600,19 @@ def scaling_decomposition(
     """
     if q <= 0:
         raise ParameterError(f"q must be > 0, got {q}")
-    taus = tuple(config.taus)
-    _check_pair(x, y, taus[-1])
-    qh = 0.5 * q
-    product: dict[int, float] = {}
-    covariance: dict[int, float] = {}
-    for tau in taus:
-        dx = _filtered_increments(x.values, tau, config.filter)
-        dy = _filtered_increments(y.values, tau, config.filter)
-        a = np.abs(dx) ** qh
-        b = np.abs(dy) ** qh
-        am = a.mean()
-        bm = b.mean()
-        product[tau] = float(am * bm)
-        covariance[tau] = float(np.mean((a - am) * (b - bm)))
+    sub = dataclasses.replace(config, q_grid=(float(q),))
+    return _decomposition(_pair_moments(x, y, sub, split=True), config)
+
+
+def _decomposition(moments: _PairMoments, config: EstimationConfig) -> ScalingDecomposition:
+    """The ScalingDecomposition at the single q of a split kernel pass.
+
+    config is the caller's, and is kept on the result.
+    """
+    q = moments.config.q_grid[0]
+    taus = tuple(moments.config.taus)
+    product = dict(zip(taus, moments.product[0].tolist()))
+    covariance = dict(zip(taus, moments.covariance[0].tolist()))
 
     positive = tuple(t for t in taus if covariance[t] > 0.0)
     n_excluded = len(taus) - len(positive)
@@ -475,8 +631,8 @@ def scaling_decomposition(
         else:
             alpha = slope / q
     return ScalingDecomposition(
-        float(q), product, covariance, alpha, reason, positive, n_excluded,
-        r_squared, x.label, y.label, config,
+        q, product, covariance, alpha, reason, positive, n_excluded,
+        r_squared, moments.x.label, moments.y.label, config,
     )
 
 
@@ -508,9 +664,14 @@ def cross_persistence_verdict(
     when the average lies inside the interval.
     """
     sub = dataclasses.replace(config, q_grid=(float(q),))
-    h_xy = jackknife_hurst(covariance_grid(x, y, sub), q, sub)
-    h_x = jackknife_hurst(covariance_grid(x, x, sub), q, sub)
-    h_y = jackknife_hurst(covariance_grid(y, y, sub), q, sub)
+    moments = _pair_moments(x, y, sub)
+    # through the grids, which reject non-finite K as covariance_grid does
+    k = np.vstack([moments.grid(which).k_matrix for which in ("xy", "xx", "yy")])
+    results = _jackknife_rows(tuple(sub.taus), k, (q, q, q), sub, sub.min_fit_points)
+    for result in results:
+        if isinstance(result, MfhxaError):
+            raise result
+    h_xy, h_x, h_y = results
     h_avg = 0.5 * (h_x.h + h_y.h)
     deviates = not h_xy.ci_low <= h_avg <= h_xy.ci_high
     if not deviates:

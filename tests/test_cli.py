@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfhxa
 from mfhxa.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -387,3 +391,21 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_estimate_zero_q_step_is_a_parameter_error(tmp_path, capsys):
+    src = tmp_path / "a.csv"
+    write_levels_csv(src, np.arange(200.0))
+    code = main(["estimate", "q_step=0", "--in", str(src), "--out", str(tmp_path / "est")])
+    assert code == 2
+    assert "mfhxa: estimate: step must be > 0" in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes most of a cold start; the t quantile comes from scipy.special
+    src = str(Path(mfhxa.__file__).resolve().parents[1])
+    probe = "import sys, mfhxa.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
