@@ -3,9 +3,9 @@
 Grammar: mfhxa <generate|transform|estimate|decompose|replicate>
               [name] [key=value ...] [--in PATH ...] [--out PATH]
 
-Every output file starts with '#'-prefixed manifest lines (tool version,
-resolved parameters, input digests, seed, timestamp) so a result can be
-reproduced from the file alone. All numbers print with 12 significant
+Every output file starts with '#'-prefixed manifest lines (tool, numpy and
+scipy versions, resolved parameters, input digests, seed, timestamp) so a
+result can be reproduced from the file alone. All numbers print with 12 significant
 digits. MFHXA_SEED provides a fallback when a command needs a seed and
 none is given.
 """
@@ -19,6 +19,9 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import __version__
 from .csvio import format_number, read_columns, write_csv, write_table
@@ -158,7 +161,12 @@ def _sha256(path: Path) -> str:
 
 
 def manifest(command: str, params: dict, inputs: list[Path], seed=None) -> list[str]:
-    lines = [f"tool=mfhxa {__version__}", f"command={command}"]
+    lines = [
+        f"tool=mfhxa {__version__}",
+        f"numpy={numpy.__version__}",
+        f"scipy={scipy.__version__}",
+        f"command={command}",
+    ]
     for key in sorted(params):
         lines.append(f"{key}={params[key]}")
     for i, path in enumerate(inputs, start=1):

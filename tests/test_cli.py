@@ -326,6 +326,15 @@ class TestManifest:
         assert main(args + ["--out", str(out2)]) == 0
         assert strip_timestamp(out1) == strip_timestamp(out2)
 
+    def test_records_numpy_and_scipy_versions(self, tmp_path):
+        import scipy
+
+        out = tmp_path / "g.csv"
+        assert main(["generate", "mbm", "m0=0.35", "k=4", "--out", str(out)]) == 0
+        comments = read_numeric(out)[0]
+        assert f"# numpy={np.__version__}" in comments
+        assert f"# scipy={scipy.__version__}" in comments
+
     def test_inputs_carry_digests(self, tmp_path):
         src = tmp_path / "p.csv"
         write_levels_csv(src, [1.0, 2.0, 3.0])
@@ -409,3 +418,14 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_skips_scipy_fft_and_signal():
+    # the generators' FFTs come from numpy.fft, which numpy loads anyway
+    src = str(Path(mfhxa.__file__).resolve().parents[1])
+    probe = ("import sys, mfhxa.cli; "
+             "print('scipy.fft' in sys.modules, 'scipy.signal' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False False"
