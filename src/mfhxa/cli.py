@@ -24,7 +24,7 @@ import numpy
 import scipy
 
 from . import __version__
-from .csvio import format_number, read_columns, write_csv, write_table
+from .csvio import format_number, read_columns, read_series, write_csv, write_table
 from .errors import MfhxaError, ParameterError
 from .estimator import (
     EstimationConfig,
@@ -309,14 +309,12 @@ def cmd_transform(name: str | None, params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- estimate
 
-def _load_series(path: Path, column: int, mode: str) -> TimeSeries:
-    _, cols, names = read_columns(path)
-    if not 1 <= column <= len(cols):
-        raise ParameterError(
-            f"column {column} requested but {path} has {len(cols)} numeric column(s)"
-        )
-    series = TimeSeries(cols[column - 1], names[column - 1])
-    return accumulate(series) if mode == "increments" else series
+def _read_pair(paths: list[Path], x_col: int, y_col: int, mode: str):
+    """X from the first input and Y from the second; Y is X for one input."""
+    series = [read_series(path, col) for path, col in zip(paths, (x_col, y_col))]
+    if mode == "increments":
+        series = [accumulate(s) for s in series]
+    return series[0], series[-1]
 
 
 def cmd_estimate(params: Params, inputs, out) -> int:
@@ -341,29 +339,26 @@ def cmd_estimate(params: Params, inputs, out) -> int:
     params.reject_unknown()
 
     paths = _require_inputs(inputs, 1, 2)
-    x = _load_series(paths[0], x_col, mode)
     self_pair = len(paths) == 1 or y_key == "self"
     if self_pair and len(paths) == 2:
         raise ParameterError("y=self given together with a second --in PATH")
+    x, y = _read_pair(paths, x_col, y_col, mode)
     meta = {"preset": preset, "input": mode, "pair": "self" if self_pair else "xy"}
+    comments = manifest("estimate", meta, paths)
 
     if self_pair:
         grid = covariance_grid(x, x, config)
         curve = hurst_curve_from_grid(grid)
-        write_curve(f"{out_prefix}.curve.tsv", curve, manifest("estimate", meta, paths))
-        write_grid(f"{out_prefix}.grid.tsv", grid, manifest("estimate", meta, paths))
+        write_curve(f"{out_prefix}.curve.tsv", curve, comments)
         n_ok = len(curve.estimates)
     else:
-        y = _load_series(paths[1], y_col, mode)
         moments = _pair_moments(x, y, config)
         grid = moments.grid("xy")
         xy, xx, yy = (hurst_curve_from_grid(g)
                       for g in (grid, moments.grid("xx"), moments.grid("yy")))
-        write_pair_curves(
-            f"{out_prefix}.curve.tsv", xy, xx, yy, manifest("estimate", meta, paths)
-        )
-        write_grid(f"{out_prefix}.grid.tsv", grid, manifest("estimate", meta, paths))
+        write_pair_curves(f"{out_prefix}.curve.tsv", xy, xx, yy, comments)
         n_ok = len(xy.estimates)
+    write_grid(f"{out_prefix}.grid.tsv", grid, comments)
 
     if n_ok == 0:
         print("mfhxa: estimate: no q could be estimated; see the note column",
@@ -416,8 +411,7 @@ def cmd_decompose(params: Params, inputs, out) -> int:
         q_grid=(q,), tau_min=tau_min, tau_max_range=(tau_hi, tau_hi),
         filter=filt, min_fit_points=min_fit_points,
     )
-    x = _load_series(paths[0], x_col, mode)
-    y = _load_series(paths[-1], y_col, mode) if len(paths) == 2 else x
+    x, y = _read_pair(paths, x_col, y_col, mode)
     rows, comments = _decomposition_rows(x, y, q, config)
     meta = {"q": format_number(q), "tau_min": tau_min, "tau_max": tau_hi,
             "filter": filt, "input": mode}

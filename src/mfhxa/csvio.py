@@ -2,8 +2,9 @@
 
 Input CSV: UTF-8, '.' decimal separator, one or two numeric columns, an
 optional header row and an optional leading date/time column (kept as
-opaque text and ignored by the math). Lines starting with '#' are
-metadata comments and are skipped on read.
+opaque text and ignored by the math). A header row has as many fields as
+the data rows. Lines starting with '#' are metadata comments and are
+skipped on read.
 """
 
 from __future__ import annotations
@@ -42,20 +43,22 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
 
     `dates` is None when there is no leading non-numeric column. Column
     names come from the header row when present, else col1, col2, ...
+
+    The layout is inferred from the first two data lines; the rest of the
+    file is split and converted a whole column at a time. Only when that
+    fails are the lines walked one by one, to report the first bad one.
     """
-    rows: list[tuple[int, list[str]]] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append((lineno, _split(line)))
-    if not rows:
+        text = fh.read()
+    stripped = list(map(str.strip, text.split("\n")))
+    kept = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
+    if not kept:
         raise CsvFormatError(f"{path}: no data rows")
 
     # shape is inferred from the first data row (the second row when a
     # header is present, which the reference row itself reveals)
-    _, ref = rows[1] if len(rows) > 1 else rows[0]
+    first = _split(stripped[kept[0]])
+    ref = _split(stripped[kept[1]]) if len(kept) > 1 else first
     has_dates = not _is_number(ref[0])
     first_num = 1 if has_dates else 0
     ncols = len(ref)
@@ -65,31 +68,53 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
         raise CsvFormatError(f"{path}: no numeric columns found")
 
     # header = first row non-numeric in a position that is numeric in data
-    _, first = rows[0]
-    has_header = len(rows) > 1 and any(
+    has_header = len(kept) > 1 and any(
         not _is_number(first[i]) for i in range(first_num, min(len(first), ncols))
     )
+    if has_header and len(first) != ncols:
+        raise CsvFormatError(
+            f"{path}:{kept[0] + 1}: header has {len(first)} fields, "
+            f"data rows have {ncols}"
+        )
     names = (
-        [c for c in first[first_num:]]
+        first[first_num:]
         if has_header
         else [f"col{i + 1}" for i in range(ncols - first_num)]
     )
 
-    dates: list[str] | None = [] if has_dates else None
-    cols: list[list[float]] = [[] for _ in range(ncols - first_num)]
-    for lineno, cells in rows[1:] if has_header else rows:
+    body = kept[1:] if has_header else kept
+    lines = [stripped[i] for i in body]
+    # each line splits on tabs if it has one, else on commas; a comma line
+    # has no tab, so turning its commas into tabs splits it the same way
+    sep = "\t" if "\t" in text else ","
+    if sep == "\t":
+        lines = [line if "\t" in line else line.replace(",", "\t") for line in lines]
+    n = len(lines)
+    if [line.count(sep) for line in lines].count(ncols - 1) != n:
+        raise next(_line_errors(path, body, lines, sep, ncols, first_num))
+    cells = list(map(str.strip, sep.join(lines).split(sep)))
+    try:
+        cols = [np.fromiter(map(float, cells[j::ncols]), float, n)
+                for j in range(first_num, ncols)]
+    except ValueError:
+        raise next(_line_errors(path, body, lines, sep, ncols, first_num)) from None
+    dates = cells[0::ncols] if has_dates else None
+    return dates, cols, names
+
+
+def _line_errors(path, body, lines, sep, ncols, first_num):
+    """CsvFormatError for each bad data line, in file order."""
+    for index, line in zip(body, lines):
+        cells = [c.strip() for c in line.split(sep)]
         if len(cells) != ncols:
-            raise CsvFormatError(
-                f"{path}:{lineno}: expected {ncols} fields, got {len(cells)}"
+            yield CsvFormatError(
+                f"{path}:{index + 1}: expected {ncols} fields, got {len(cells)}"
             )
-        if dates is not None:
-            dates.append(cells[0])
-        for j in range(first_num, ncols):
-            cell = cells[j]
+            continue
+        for cell in cells[first_num:]:
             if not _is_number(cell):
-                raise CsvFormatError(f"{path}:{lineno}: non-numeric value {cell!r}")
-            cols[j - first_num].append(float(cell))
-    return dates, [np.asarray(c) for c in cols], names
+                yield CsvFormatError(f"{path}:{index + 1}: non-numeric value {cell!r}")
+                break
 
 
 def read_series(path, column: int = 1) -> TimeSeries:
@@ -102,29 +127,35 @@ def read_series(path, column: int = 1) -> TimeSeries:
     return TimeSeries(cols[column - 1], names[column - 1])
 
 
+def _column_cells(column: np.ndarray) -> list[str]:
+    """Every value of a column as format_number prints it."""
+    fmt = "{:.12g}".format if column.dtype.kind == "f" else format_number
+    return list(map(fmt, column.tolist()))
+
+
 def write_csv(path, comments: list[str], names: list[str], columns, dates=None) -> None:
     """Write '#'-prefixed comment lines, a header row, then comma-separated data."""
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
+    cells = [_column_cells(np.asarray(c)) for c in columns]
+    head = list(names)
+    if dates is not None:
+        cells.insert(0, dates)
+        head.insert(0, "date")
+    lines = [f"# {c}" for c in comments] + [",".join(head)]
+    lines += map(",".join, zip(*cells, strict=True))
     with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        head = (["date"] if dates is not None else []) + list(names)
-        fh.write(",".join(head) + "\n")
-        for i in range(n):
-            cells = [dates[i]] if dates is not None else []
-            cells += [format_number(col[i]) for col in columns]
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_table(path, comments: list[str], names: list[str], rows) -> None:
-    """Write a tab-separated table with '#'-prefixed metadata comments."""
+    """Write a tab-separated table with '#'-prefixed metadata comments.
+
+    All rows must have the same number of cells.
+    """
+    cells = [list(map(_cell, column)) for column in zip(*rows, strict=True)]
+    lines = [f"# {c}" for c in comments] + ["\t".join(names)]
+    lines += map("\t".join, zip(*cells))
     with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write("\t".join(names) + "\n")
-        for row in rows:
-            fh.write("\t".join(_cell(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cell(v) -> str:

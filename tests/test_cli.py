@@ -429,3 +429,46 @@ def test_cli_import_skips_scipy_fft_and_signal():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False False"
+
+
+def test_short_header_exits_2_with_its_line_number(tmp_path, capsys):
+    src = tmp_path / "short.csv"
+    src.write_text("x\n1,2\n3,4\n5,6\n")
+    code = main(["transform", "log-returns", "col=2", "--in", str(src),
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert f"{src}:1: header has 1 fields, data rows have 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["x_col", "y_col"])
+def test_estimate_missing_column_exits_2(tmp_path, capsys, key):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_levels_csv(a, np.arange(200.0))
+    write_levels_csv(b, np.arange(200.0) ** 1.5)
+    code = main(["estimate", f"{key}=2", "--in", str(a), "--in", str(b),
+                 "--out", str(tmp_path / "est")])
+    assert code == 2
+    bad = a if key == "x_col" else b
+    assert (f"{bad}: column 2 requested but file has 1 numeric column(s)"
+            in capsys.readouterr().err)
+
+
+def test_estimate_hashes_each_input_once(tmp_path, monkeypatch):
+    import mfhxa.cli as cli
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_levels_csv(a, np.random.default_rng(1).standard_normal(300).cumsum())
+    write_levels_csv(b, np.random.default_rng(2).standard_normal(300).cumsum())
+    hashed = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+    out = tmp_path / "est"
+    assert main(["estimate", "q_min=1", "q_max=2", "q_step=1", "tau_max=5..10",
+                 "--in", str(a), "--in", str(b), "--out", str(out)]) == 0
+    assert hashed == [a, b]
+    curve, grid = (
+        [line for line in Path(f"{out}.{kind}.tsv").read_text().splitlines()
+         if line.startswith(("# input1", "# input2", "# timestamp="))]
+        for kind in ("curve", "grid")
+    )
+    assert len(curve) == 5 and curve == grid
