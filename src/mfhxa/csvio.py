@@ -133,17 +133,41 @@ def _column_cells(column: np.ndarray) -> list[str]:
     return list(map(fmt, column.tolist()))
 
 
+_SEPARATORS = (",", "\t", "\r", "\n")
+
+
 def write_csv(path, comments: list[str], names: list[str], columns, dates=None) -> None:
-    """Write '#'-prefixed comment lines, a header row, then comma-separated data."""
+    """Write '#'-prefixed comment lines, a header row, then comma-separated data.
+
+    Cells are not quoted, so a name or date containing a separator (comma,
+    tab, CR or LF) raises CsvFormatError, before the file is opened.
+    """
     cells = [_column_cells(np.asarray(c)) for c in columns]
     head = list(names)
     if dates is not None:
         cells.insert(0, dates)
         head.insert(0, "date")
+    _check_text_cells(path, head, "column name")
+    if dates is not None:
+        _check_text_cells(path, dates, "date")
     lines = [f"# {c}" for c in comments] + [",".join(head)]
     lines += map(",".join, zip(*cells, strict=True))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _check_text_cells(path, cells, kind: str) -> None:
+    """Raise CsvFormatError naming the first cell that holds a separator."""
+    text = " ".join(cells)
+    if not any(sep in text for sep in _SEPARATORS):
+        return
+    for cell in cells:
+        for sep in _SEPARATORS:
+            if sep in cell:
+                raise CsvFormatError(
+                    f"{path}: {kind} {cell!r} contains {sep!r}; comma-separated "
+                    "output cannot hold commas, tabs or line breaks in a cell"
+                )
 
 
 def write_table(path, comments: list[str], names: list[str], rows) -> None:

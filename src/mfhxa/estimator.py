@@ -119,7 +119,12 @@ def real_preset() -> EstimationConfig:
                             filter="linear")
 
 
-def _detrend_array(d: np.ndarray, filter: str) -> np.ndarray:
+def _detrend_array(d: np.ndarray, filter: str, out: np.ndarray | None = None) -> np.ndarray:
+    """d minus its mean (constant) or its OLS line in the time index (linear).
+
+    Pass out=d to detrend in place. The mean is np.add.reduce(d) / d.size,
+    which is d.mean() bit for bit without its Python wrapper.
+    """
     if filter == "none":
         return d
     if filter == "constant":
@@ -127,7 +132,7 @@ def _detrend_array(d: np.ndarray, filter: str) -> np.ndarray:
             raise InsufficientDataError(
                 f"constant filter needs at least 2 increments, got {d.size}"
             )
-        return d - d.mean()
+        return np.subtract(d, np.add.reduce(d) / d.size, out=out)
     if filter == "linear":
         if d.size < 3:
             raise InsufficientDataError(
@@ -136,7 +141,8 @@ def _detrend_array(d: np.ndarray, filter: str) -> np.ndarray:
         tc = np.arange(d.size, dtype=float)
         tc -= tc.mean()
         slope = np.dot(tc, d) / np.dot(tc, tc)
-        return d - d.mean() - slope * tc
+        r = np.subtract(d, np.add.reduce(d) / d.size, out=out)
+        return np.subtract(r, slope * tc, out=r)
     raise ParameterError(f"filter must be one of {FILTERS}, got {filter!r}")
 
 
@@ -149,8 +155,17 @@ def detrend_increments(increments: IncrementSeries, filter: str) -> IncrementSer
     )
 
 
-def _filtered_increments(values: np.ndarray, tau: int, filter: str) -> np.ndarray:
-    return _detrend_array(values[tau:] - values[:-tau], filter)
+def _filtered_increments(values: np.ndarray, tau: int, filter: str,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """The detrended lag-tau increments of values.
+
+    With out, a float buffer of at least values.size - tau elements, they are
+    built in its leading part, which is returned; else in a new array.
+    """
+    if out is not None:
+        out = out[:values.size - tau]
+    d = np.subtract(values[tau:], values[:-tau], out=out)
+    return _detrend_array(d, filter, out=d)
 
 
 def _check_pair(x: TimeSeries, y: TimeSeries, max_tau: int) -> None:
@@ -237,21 +252,53 @@ def _ladder_step(q: np.ndarray) -> float | None:
     return None
 
 
+# a ** e for the exponents e <= 4 that square roots and products build in at
+# most three ufunc passes. Each writes into o, which may be a itself, and reads
+# a before it first writes o (arguments are evaluated left to right).
+_ROOT_POWERS = {
+    0.25: lambda a, o: np.sqrt(np.sqrt(a, out=o), out=o),
+    0.5: lambda a, o: np.sqrt(a, out=o),
+    0.75: lambda a, o: np.multiply(np.sqrt(a, out=o), np.sqrt(o), out=o),
+    1.0: lambda a, o: o if o is a else np.positive(a, out=o),
+    1.25: lambda a, o: np.multiply(a, np.sqrt(np.sqrt(a)), out=o),
+    1.5: lambda a, o: np.multiply(a, np.sqrt(a), out=o),
+    2.0: lambda a, o: np.square(a, out=o),
+    2.5: lambda a, o: np.multiply(np.sqrt(a), np.square(a, out=o), out=o),
+    3.0: lambda a, o: np.multiply(a, np.square(a), out=o),
+    4.0: lambda a, o: np.square(np.square(a, out=o), out=o),
+}
+
+
+def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """a ** e for a >= 0, written into out (which may be a) or a new array.
+
+    Quarter exponents up to 4 that take at most three passes come from
+    square roots and products (`_ROOT_POWERS`; e = 1 in place takes none),
+    which are several times cheaper than pow and agree with it to a few ulp;
+    every other exponent goes through np.power. Every kernel path powers
+    through here, so a q gives the same bits on every path.
+    """
+    o = np.empty_like(a) if out is None else out
+    build = _ROOT_POWERS.get(e)
+    return np.power(a, e, out=o) if build is None else build(a, o)
+
+
 def _powers(ax: np.ndarray, ay: np.ndarray, q: np.ndarray, step: float | None):
     """Yield (ax^(q/2), ay^(q/2)) for each q in order.
 
     Uniform grids walk a ladder, one multiplication per q; other grids take
-    each power directly. When ay is ax only one ladder is kept, and both
-    values of a pair are the same array.
+    each power directly, and a single q powers ax and ay in place. When ay is
+    ax only one ladder is kept, and both values of a pair are the same array.
     """
     same = ay is ax
     if step is None:
+        ox, oy = (ax, ay) if q.size == 1 else (None, None)
         for qi in q:
-            px = ax ** (0.5 * qi)
-            yield px, px if same else ay ** (0.5 * qi)
+            px = _power(ax, 0.5 * qi, ox)
+            yield px, px if same else _power(ay, 0.5 * qi, oy)
         return
-    px, sx = ax ** (0.5 * q[0]), ax ** (0.5 * step)
-    py, sy = (px, sx) if same else (ay ** (0.5 * q[0]), ay ** (0.5 * step))
+    px, sx = _power(ax, 0.5 * q[0]), _power(ax, 0.5 * step)
+    py, sy = (px, sx) if same else (_power(ay, 0.5 * q[0]), _power(ay, 0.5 * step))
     for i in range(q.size):
         yield px, py
         if i + 1 < q.size:
@@ -295,8 +342,9 @@ def _pair_moments(
     function is a dot product: K_xy = <a, b>/n, K_xx = <a, a>/n and
     K_yy = <b, b>/n. With split, the product term mean(a) * mean(b) and the
     centred covariance mean((a - mean(a)) * (b - mean(b))) are kept as well.
-    Pass y = x for a single series; its increments are then built once. The
-    working set is a few arrays of the series' length.
+    Pass y = x for a single series; its increments are then built once. Each
+    series has one work buffer per call, in which every tau's |increments|
+    are built in place; the working set is a few arrays of the series' length.
     """
     taus = tuple(config.taus)
     _check_pair(x, y, taus[-1])
@@ -306,9 +354,14 @@ def _pair_moments(
     k_xy, k_xx, k_yy = np.empty(shape), np.empty(shape), np.empty(shape)
     product = np.empty(shape) if split else None
     covariance = np.empty(shape) if split else None
+    wx = np.empty(len(x) - taus[0])
+    wy = None if y is x else np.empty_like(wx)
     for j, tau in enumerate(taus):
-        ax = np.abs(_filtered_increments(x.values, tau, config.filter))
-        ay = ax if y is x else np.abs(_filtered_increments(y.values, tau, config.filter))
+        ax = _filtered_increments(x.values, tau, config.filter, wx)
+        ay = ax if wy is None else _filtered_increments(y.values, tau, config.filter, wy)
+        np.abs(ax, out=ax)
+        if ay is not ax:
+            np.abs(ay, out=ay)
         n = ax.size
         for i, (a, b) in enumerate(_powers(ax, ay, q, step)):
             k_xx[i, j] = np.dot(a, a) / n

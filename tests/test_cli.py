@@ -172,6 +172,19 @@ class TestTransform:
         assert code != 0
         assert "positive" in capsys.readouterr().err
 
+    def test_date_with_a_comma_exits_2_without_output(self, tmp_path, capsys):
+        # a tab file may hold commas in its dates; the comma-separated output
+        # could not, so the write is refused instead of producing a file that
+        # no longer reads back
+        src = tmp_path / "p.tsv"
+        src.write_text("date\tprice\nJan 1, 2020\t100\nJan 2, 2020\t101\nJan 3, 2020\t99\n")
+        out = tmp_path / "v.csv"
+        code = main(["transform", "abs-returns", "--in", str(src), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "date 'Jan 2, 2020' contains ','" in err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_ramp_self_estimate_is_one(self, tmp_path):

@@ -297,6 +297,20 @@ def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
         write_csv(tmp_path / "bad.csv", [], ["a", "b"], [[1.0, 2.0], [1.0]])
 
 
+@pytest.mark.parametrize("sep", [",", "\t", "\r", "\n"], ids=["comma", "tab", "cr", "lf"])
+@pytest.mark.parametrize("where", ["date", "name"])
+def test_write_csv_rejects_separators_in_text_cells(tmp_path, sep, where):
+    path = tmp_path / "out.csv"
+    dates = ["d1", f"d{sep}2", f"d{sep}3"] if where == "date" else ["d1", "d2", "d3"]
+    names = [f"v{sep}w"] if where == "name" else ["v"]
+    bad = dates[1] if where == "date" else names[0]
+    kind = "date" if where == "date" else "column name"
+    with pytest.raises(CsvFormatError) as exc:
+        write_csv(path, ["comment, with a comma"], names, [[1.0, 2.0, 3.0]], dates=dates)
+    assert str(exc.value).startswith(f"{path}: {kind} {bad!r} contains {sep!r};")
+    assert not path.exists()
+
+
 def test_write_table_matches_reference(tmp_path):
     rows = [(0.1, 1, 2.5e-7, "ok"), (0.2, 2, "NA", "a\tb"), ("alpha", 0.3, "no-scaling", 4),
             (np.float64(1e-20), np.int64(7), float("nan"), "")]

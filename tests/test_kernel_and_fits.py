@@ -34,7 +34,7 @@ from mfhxa import (
     scaling_decomposition,
     student_t_quantile,
 )
-from mfhxa.estimator import FILTERS, _pair_moments
+from mfhxa.estimator import FILTERS, _pair_moments, _power
 
 UNIFORM_QS = q_range(0.25, 6.0, 0.5)  # 12 evenly spaced q: the power-ladder path
 UNEVEN_QS = (0.3, 1.0, 2.5, 4.0, 7.5)  # direct powers
@@ -173,6 +173,61 @@ def test_kernel_self_pair_is_one_series(qs):
     assert np.array_equal(pair.k_xx, alone.k_xx)
     assert np.array_equal(covariance_grid(x, x, cfg).k_matrix, alone.k_xx)
     np.testing.assert_allclose(alone.product + alone.covariance, alone.k_xx, rtol=1e-12)
+
+
+def test_power_helper_is_within_4_ulp_of_np_power():
+    rng = np.random.default_rng(21)
+    a = np.concatenate((10.0 ** rng.uniform(-60.0, 60.0, 20_000), [1e-60, 1.0, 1e60]))
+    for k in range(1, 17):  # every quarter exponent up to 4
+        e = k / 4
+        want = np.power(a, e)
+        got = _power(a, e)
+        assert got is not a
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), e
+        in_place = a.copy()
+        assert _power(in_place, e, out=in_place) is in_place
+        assert np.array_equal(in_place, got), e
+        assert _power(np.zeros(3), e).tolist() == [0.0, 0.0, 0.0]
+    for e in (0.05, 0.15, 1.85, 3.5, 4.5, 5.0):  # not built from roots: pow itself
+        assert np.array_equal(_power(a, e), np.power(a, e)), e
+
+
+ONE_Q = (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.7, 5.0, 7.0, 8.0)
+
+
+@pytest.mark.parametrize("filt", FILTERS)
+@pytest.mark.parametrize("q", ONE_Q)
+def test_one_q_kernel_matches_direct_summation(filt, q):
+    # the single-q path powers the work buffers in place; y is x, an equal
+    # copy of x and two pairs of different length run back to back must each
+    # see only their own increments
+    rng = np.random.default_rng(17)
+    x1 = rng.standard_normal(400).cumsum()
+    y1 = 0.6 * x1 + rng.standard_normal(400).cumsum()
+    x2 = rng.standard_normal(333).cumsum()
+    y2 = -0.4 * x2 + rng.standard_normal(333).cumsum()
+    cfg = EstimationConfig(q_grid=(q,), tau_max_range=(5, 25), filter=filt)
+    alone = TimeSeries(x1, "x")
+    pairs = [(alone, alone), (alone, TimeSeries(x1.copy(), "x copy")),
+             (TimeSeries(x1, "x"), TimeSeries(y1, "y")),
+             (TimeSeries(x2, "x2"), TimeSeries(y2, "y2")), (alone, alone)]
+    results = []
+    for x, y in pairs:
+        m = _pair_moments(x, y, cfg, split=True)
+        assert np.array_equal(_pair_moments(x, y, cfg).k_xy, m.k_xy)
+        for j, tau in enumerate(cfg.taus):
+            want = direct_moments(x.values, y.values, q, tau, filt)
+            for key in ("k_xy", "k_xx", "k_yy", "product"):
+                got = getattr(m, key)[0, j]
+                assert close(got, want[key]), (x.label, y.label, key, tau, got, want[key])
+            scale = max(want["k_xy"], want["product"])
+            assert close(m.covariance[0, j], want["covariance"], scale=scale), (y.label, tau)
+        results.append(m)
+    first, copy, *_, last = results
+    assert np.array_equal(copy.k_xy, first.k_xx)
+    assert np.array_equal(copy.k_yy, first.k_xx)
+    for key in ("k_xy", "k_xx", "k_yy", "product", "covariance"):
+        assert np.array_equal(getattr(last, key), getattr(first, key)), key
 
 
 def test_split_terms_sum_to_k():
