@@ -158,16 +158,12 @@ def write_csv(path, comments: list[str], names: list[str], columns, dates=None) 
 
 def _check_text_cells(path, cells, kind: str) -> None:
     """Raise CsvFormatError naming the first cell that holds a separator."""
-    text = " ".join(cells)
-    if not any(sep in text for sep in _SEPARATORS):
-        return
-    for cell in cells:
-        for sep in _SEPARATORS:
-            if sep in cell:
-                raise CsvFormatError(
-                    f"{path}: {kind} {cell!r} contains {sep!r}; comma-separated "
-                    "output cannot hold commas, tabs or line breaks in a cell"
-                )
+    bad = next(((c, s) for c in cells for s in _SEPARATORS if s in c), None)
+    if bad is not None:
+        raise CsvFormatError(
+            f"{path}: {kind} {bad[0]!r} contains {bad[1]!r}; comma-separated "
+            "output cannot hold commas, tabs or line breaks in a cell"
+        )
 
 
 def write_table(path, comments: list[str], names: list[str], rows) -> None:

@@ -252,31 +252,26 @@ def _ladder_step(q: np.ndarray) -> float | None:
     return None
 
 
-# a ** e for the exponents e <= 4 that square roots and products build in at
-# most three ufunc passes. Each writes into o, which may be a itself, and reads
-# a before it first writes o (arguments are evaluated left to right).
+# a ** e for the exponents of the calibration grid (q = 0.5, 1, 2 and 5),
+# built from square roots and products. Each writes into o, which may be a
+# itself, and reads a before it first writes o (arguments are evaluated left
+# to right).
 _ROOT_POWERS = {
     0.25: lambda a, o: np.sqrt(np.sqrt(a, out=o), out=o),
     0.5: lambda a, o: np.sqrt(a, out=o),
-    0.75: lambda a, o: np.multiply(np.sqrt(a, out=o), np.sqrt(o), out=o),
     1.0: lambda a, o: o if o is a else np.positive(a, out=o),
-    1.25: lambda a, o: np.multiply(a, np.sqrt(np.sqrt(a)), out=o),
-    1.5: lambda a, o: np.multiply(a, np.sqrt(a), out=o),
-    2.0: lambda a, o: np.square(a, out=o),
     2.5: lambda a, o: np.multiply(np.sqrt(a), np.square(a, out=o), out=o),
-    3.0: lambda a, o: np.multiply(a, np.square(a), out=o),
-    4.0: lambda a, o: np.square(np.square(a, out=o), out=o),
 }
 
 
 def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
     """a ** e for a >= 0, written into out (which may be a) or a new array.
 
-    Quarter exponents up to 4 that take at most three passes come from
-    square roots and products (`_ROOT_POWERS`; e = 1 in place takes none),
-    which are several times cheaper than pow and agree with it to a few ulp;
-    every other exponent goes through np.power. Every kernel path powers
-    through here, so a q gives the same bits on every path.
+    The exponents in `_ROOT_POWERS` come from square roots and products
+    (e = 1 in place takes no pass), which are several times cheaper than
+    pow and agree with it to a few ulp; every other exponent goes through
+    np.power. Every kernel path powers through here, so a q gives the same
+    bits on every path.
     """
     o = np.empty_like(a) if out is None else out
     build = _ROOT_POWERS.get(e)

@@ -188,7 +188,7 @@ def test_power_helper_is_within_4_ulp_of_np_power():
         assert _power(in_place, e, out=in_place) is in_place
         assert np.array_equal(in_place, got), e
         assert _power(np.zeros(3), e).tolist() == [0.0, 0.0, 0.0]
-    for e in (0.05, 0.15, 1.85, 3.5, 4.5, 5.0):  # not built from roots: pow itself
+    for e in (0.05, 0.15, 0.75, 1.5, 1.85, 2.0, 3.5, 4.5, 5.0):  # not built from roots
         assert np.array_equal(_power(a, e), np.power(a, e)), e
 
 
