@@ -311,6 +311,18 @@ def test_write_csv_rejects_separators_in_text_cells(tmp_path, sep, where):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("dates,bad", [([",d1", "d2"], ",d1"), (["d1", "d2,"], "d2,"),
+                                       (["d1", "d\0,2"], ",2")], ids=["first", "last", "nul"])
+def test_write_csv_names_the_cell_at_either_end(tmp_path, dates, bad):
+    # the cells are searched as one NUL-joined string; a cell at either end
+    # is named whole, and one holding NUL is named from its last NUL on
+    path = tmp_path / "out.csv"
+    with pytest.raises(CsvFormatError) as exc:
+        write_csv(path, [], ["v"], [[1.0] * len(dates)], dates=dates)
+    assert str(exc.value).startswith(f"{path}: date {bad!r} contains ',';")
+    assert not path.exists()
+
+
 def test_write_table_matches_reference(tmp_path):
     rows = [(0.1, 1, 2.5e-7, "ok"), (0.2, 2, "NA", "a\tb"), ("alpha", 0.3, "no-scaling", 4),
             (np.float64(1e-20), np.int64(7), float("nan"), "")]
