@@ -24,15 +24,14 @@ import numpy
 import scipy
 
 from . import __version__
-from .csvio import format_number, read_columns, read_series, write_csv, write_table
+from .csvio import format_number, read_columns, read_series, write_csv
 from .errors import MfhxaError, ParameterError
 from .estimator import (
+    FILTERS,
     EstimationConfig,
-    _decomposition,
-    _pair_moments,
     covariance_grid,
-    fit_hurst_single,
     hurst_curve_from_grid,
+    pair_moments,
     q_range,
     real_preset,
     synthetic_preset,
@@ -54,12 +53,7 @@ from .series import (
     log_returns,
     volume_relative_deviation,
 )
-from .tables import (
-    NO_SCALING_MARKER,
-    write_curve,
-    write_grid,
-    write_pair_curves,
-)
+from .tables import write_curve, write_decomposition, write_grid, write_pair_curves
 
 GENERATORS = ("mbm", "arfima", "arfima-pair", "two-component")
 TRANSFORMS = ("log-returns", "abs-returns", "volume-deviation")
@@ -332,7 +326,7 @@ def cmd_estimate(params: Params, inputs, out) -> int:
                        params.number("q_step", 0.1)),
         tau_min=params.integer("tau_min", base.tau_min),
         tau_max_range=params.tau_range("tau_max", base.tau_max_range),
-        filter=params.string("filter", base.filter, choices=("none", "constant", "linear")),
+        filter=params.string("filter", base.filter, choices=FILTERS),
         min_fit_points=params.integer("min_fit_points", base.min_fit_points),
         confidence=params.number("confidence", base.confidence),
     )
@@ -352,7 +346,7 @@ def cmd_estimate(params: Params, inputs, out) -> int:
         write_curve(f"{out_prefix}.curve.tsv", curve, comments)
         n_ok = len(curve.estimates)
     else:
-        moments = _pair_moments(x, y, config)
+        moments = pair_moments(x, y, config)
         grid = moments.grid("xy")
         xy, xx, yy = (hurst_curve_from_grid(g)
                       for g in (grid, moments.grid("xx"), moments.grid("yy")))
@@ -369,38 +363,12 @@ def cmd_estimate(params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- decompose
 
-def _decomposition_rows(x: TimeSeries, y: TimeSeries, q: float,
-                        config: EstimationConfig):
-    """(tau, K_x, K_y, product, covariance) rows plus header slope comments."""
-    moments = _pair_moments(x, y, config, split=True)
-    dec = _decomposition(moments, config)
-    gx, gy = moments.grid("xx"), moments.grid("yy")
-    tau_hi = config.tau_max_range[1]
-    h_x = fit_hurst_single(gx, q, tau_hi)
-    h_y = fit_hurst_single(gy, q, tau_hi)
-    alpha = NO_SCALING_MARKER if dec.alpha is None else format_number(dec.alpha)
-    comments = [
-        f"q={format_number(q)}",
-        f"h_x={format_number(h_x)}",
-        f"h_y={format_number(h_y)}",
-        f"alpha={alpha}",
-        f"alpha_n_points={len(dec.alpha_fit_taus)}",
-        f"excluded_taus={dec.n_excluded}",
-    ]
-    rows = [
-        (tau, gx.value(q, tau), gy.value(q, tau),
-         dec.product_term[tau], dec.covariance_term[tau])
-        for tau in config.taus
-    ]
-    return rows, comments
-
-
 def cmd_decompose(params: Params, inputs, out) -> int:
     out_path = _require_out(out)
     q = params.number("q")
     tau_min = params.integer("tau_min", 1)
     tau_hi = params.integer("tau_max", 20)
-    filt = params.string("filter", "constant", choices=("none", "constant", "linear"))
+    filt = params.string("filter", "constant", choices=FILTERS)
     min_fit_points = params.integer("min_fit_points", 4)
     mode = params.string("input", "levels", choices=("levels", "increments"))
     x_col = params.integer("x_col", 1)
@@ -412,15 +380,10 @@ def cmd_decompose(params: Params, inputs, out) -> int:
         filter=filt, min_fit_points=min_fit_points,
     )
     x, y = _read_pair(paths, x_col, y_col, mode)
-    rows, comments = _decomposition_rows(x, y, q, config)
     meta = {"q": format_number(q), "tau_min": tau_min, "tau_max": tau_hi,
             "filter": filt, "input": mode}
-    write_table(
-        out_path,
-        manifest("decompose", meta, paths) + comments,
-        ["tau", "k_x", "k_y", "product_term", "covariance_term"],
-        rows,
-    )
+    write_decomposition(out_path, pair_moments(x, y, config, split=True),
+                        manifest("decompose", meta, paths))
     return 0
 
 
@@ -451,30 +414,43 @@ def _two_component_profiles(w: float, seed: int) -> tuple[TimeSeries, TimeSeries
     return accumulate(x), accumulate(y)
 
 
-def _write_panel_curves(outdir: Path, stem: str, x: TimeSeries, y: TimeSeries,
-                        config: EstimationConfig, meta: dict,
-                        inputs: list[Path]) -> None:
-    moments = _pair_moments(x, y, config)
+def _write_panel_curves(outdir: Path, figure: str, x: TimeSeries, y: TimeSeries,
+                        meta: dict) -> None:
+    moments = pair_moments(x, y, synthetic_preset())
     xy, xx, yy = (hurst_curve_from_grid(moments.grid(which)) for which in ("xy", "xx", "yy"))
-    write_pair_curves(outdir / f"{stem}_curves.tsv", xy, xx, yy,
-                      manifest(f"replicate {stem}", meta, inputs))
+    write_pair_curves(outdir / f"{figure}_curves.tsv", xy, xx, yy,
+                      manifest(f"replicate {figure}", meta, []))
 
 
-def _write_panel_decomposition(outdir: Path, fname: str, x: TimeSeries,
+def _write_panel_decomposition(outdir: Path, figure: str, suffix: str, x: TimeSeries,
                                y: TimeSeries, meta: dict) -> None:
     config = EstimationConfig(q_grid=(2.0,), tau_min=1, tau_max_range=(20, 20),
                               filter="constant")
-    rows, comments = _decomposition_rows(x, y, 2.0, config)
-    write_table(
-        outdir / fname,
-        manifest(f"replicate {fname.split('_')[0]}", meta, []) + comments,
-        ["tau", "k_x", "k_y", "product_term", "covariance_term"],
-        rows,
-    )
+    write_decomposition(outdir / f"{figure}{suffix}_decomposition.tsv",
+                        pair_moments(x, y, config, split=True),
+                        manifest(f"replicate {figure}", meta, []))
 
 
-RHO_PANELS = {"fig1b": 1.0, "fig1c": 0.5, "fig1d": 0.0, "fig1e": -0.5, "fig1f": -1.0}
-W_PANELS = {"fig1g": 0.75, "fig1h": 0.5}
+RHO_PANELS = {"fig1b": (1.0,), "fig1c": (0.5,), "fig1d": (0.0,), "fig1e": (-0.5,),
+              "fig1f": (-1.0,), "fig2b": (1.0, 0.5, -0.5, -1.0)}
+W_PANELS = {"fig1g": 0.75, "fig1h": 0.5, "fig2c": 0.75, "fig2d": 0.5}
+
+
+def _panel_pairs(figure: str, seed):
+    """(file name suffix, x, y, manifest parameters) for each pair of a figure."""
+    if figure in RHO_PANELS:
+        for rho in RHO_PANELS[figure]:
+            suffix = f"_rho_{format_number(rho)}" if figure == "fig2b" else ""
+            yield (suffix, *_arfima_pair(rho, seed),
+                   {"process": "arfima-pair", "d_x": 0.3, "d_y": 0.1, "rho": rho,
+                    "length": 10000, "seed": seed})
+    elif figure in W_PANELS:
+        w = W_PANELS[figure]
+        yield ("", *_two_component_profiles(w, seed),
+               {"process": "two-component", "d1": 0.3, "d2": 0.3, "w": w,
+                "length": 10000, "seed": seed})
+    else:  # fig1a / fig2a
+        yield ("", *_mbm_pair(), {"process": "mbm", "m0_x": 0.3, "m0_y": 0.4, "k": 16})
 
 
 def cmd_replicate(figure: str | None, params: Params, inputs, out) -> int:
@@ -488,44 +464,11 @@ def cmd_replicate(figure: str | None, params: Params, inputs, out) -> int:
     seed = params.seed() if needs_seed else None
     params.reject_unknown()
     outdir.mkdir(parents=True, exist_ok=True)
-    config = synthetic_preset()
-
-    if figure == "fig1a":
-        x, y = _mbm_pair()
-        _write_panel_curves(outdir, figure, x, y, config,
-                            {"process": "mbm", "m0_x": 0.3, "m0_y": 0.4, "k": 16}, [])
-    elif figure in RHO_PANELS:
-        rho = RHO_PANELS[figure]
-        x, y = _arfima_pair(rho, seed)
-        _write_panel_curves(
-            outdir, figure, x, y, config,
-            {"process": "arfima-pair", "d_x": 0.3, "d_y": 0.1, "rho": rho,
-             "length": 10000, "seed": seed}, [])
-    elif figure in W_PANELS:
-        w = W_PANELS[figure]
-        x, y = _two_component_profiles(w, seed)
-        _write_panel_curves(
-            outdir, figure, x, y, config,
-            {"process": "two-component", "d1": 0.3, "d2": 0.3, "w": w,
-             "length": 10000, "seed": seed}, [])
-    elif figure == "fig2a":
-        x, y = _mbm_pair()
-        _write_panel_decomposition(outdir, "fig2a_decomposition.tsv", x, y,
-                                   {"process": "mbm", "m0_x": 0.3, "m0_y": 0.4, "k": 16})
-    elif figure == "fig2b":
-        for rho in (1.0, 0.5, -0.5, -1.0):
-            x, y = _arfima_pair(rho, seed)
-            _write_panel_decomposition(
-                outdir, f"fig2b_rho_{format_number(rho)}_decomposition.tsv", x, y,
-                {"process": "arfima-pair", "d_x": 0.3, "d_y": 0.1, "rho": rho,
-                 "length": 10000, "seed": seed})
-    else:  # fig2c / fig2d
-        w = 0.75 if figure == "fig2c" else 0.5
-        x, y = _two_component_profiles(w, seed)
-        _write_panel_decomposition(
-            outdir, f"{figure}_decomposition.tsv", x, y,
-            {"process": "two-component", "d1": 0.3, "d2": 0.3, "w": w,
-             "length": 10000, "seed": seed})
+    for suffix, x, y, meta in _panel_pairs(figure, seed):
+        if figure.startswith("fig1"):
+            _write_panel_curves(outdir, figure, x, y, meta)
+        else:
+            _write_panel_decomposition(outdir, figure, suffix, x, y, meta)
     return 0
 
 

@@ -15,16 +15,18 @@ exponent alpha(q) whenever it scales at all. Comparing alpha(q) with the
 average of the univariate exponents separates co-movement inherited from each
 series' own persistence from genuine joint scaling.
 
-Every pair statistic comes from one kernel, `_pair_moments`: per tau it builds
-the detrended increments of each series once and walks the q grid once,
-giving K_xy, K_xx, K_yy and, on request, the product and covariance terms.
-Every (q, tau_max) slope then comes from one pass of prefix sums in
-`_window_slopes`.
+Every pair statistic comes from one public kernel, `pair_moments`: per tau it
+builds the detrended increments of each series once and walks the q grid
+once, giving K_xy, K_xx, K_yy and, with split=True, the product and
+covariance terms, which `PairMoments.decomposition` turns into a
+`ScalingDecomposition`. Every (q, tau_max) slope then comes from one pass of
+prefix sums in `_window_slopes`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +42,17 @@ from .errors import (
     MfhxaError,
     ParameterError,
 )
-from .series import IncrementSeries, TimeSeries
+from .series import TimeSeries
 
 FILTERS = ("none", "constant", "linear")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a float or other non-integer raises ParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -65,8 +75,11 @@ class EstimationConfig:
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise ParameterError("q_grid must be strictly increasing")
         object.__setattr__(self, "q_grid", qs)
-        lo, hi = (int(v) for v in self.tau_max_range)
+        lo, hi = (_integer("tau_max_range end", v) for v in self.tau_max_range)
         object.__setattr__(self, "tau_max_range", (lo, hi))
+        object.__setattr__(self, "tau_min", _integer("tau_min", self.tau_min))
+        object.__setattr__(self, "min_fit_points",
+                           _integer("min_fit_points", self.min_fit_points))
         if self.tau_min < 1:
             raise ParameterError(f"tau_min must be >= 1, got {self.tau_min}")
         if lo > hi:
@@ -144,15 +157,6 @@ def _detrend_array(d: np.ndarray, filter: str, out: np.ndarray | None = None) ->
         r = np.subtract(d, np.add.reduce(d) / d.size, out=out)
         return np.subtract(r, slope * tc, out=r)
     raise ParameterError(f"filter must be one of {FILTERS}, got {filter!r}")
-
-
-def detrend_increments(increments: IncrementSeries, filter: str) -> IncrementSeries:
-    """Remove a constant or an OLS line (in the time index) from the increments."""
-    return IncrementSeries(
-        _detrend_array(increments.values, filter),
-        increments.tau,
-        increments.source_label,
-    )
 
 
 def _filtered_increments(values: np.ndarray, tau: int, filter: str,
@@ -303,8 +307,8 @@ def _powers(ax: np.ndarray, ay: np.ndarray, q: np.ndarray, step: float | None):
 
 
 @dataclass(frozen=True)
-class _PairMoments:
-    """Kernel output for one pair on the config's (q, tau) lattice.
+class PairMoments:
+    """Kernel output for one pair on the config's (q, tau) lattice, from `pair_moments`.
 
     k_xy, k_xx and k_yy have shape (len(q_grid), len(taus)); product and
     covariance have that shape too when the split was requested, else None.
@@ -326,10 +330,44 @@ class _PairMoments:
         return HeightCovarianceGrid(self.config.q_grid, tuple(self.config.taus), k,
                                     a.label, b.label, self.config)
 
+    def decomposition(self, config: EstimationConfig) -> ScalingDecomposition:
+        """The ScalingDecomposition of a split pass at a single q.
 
-def _pair_moments(
+        config supplies min_fit_points for the alpha fit and is kept on the
+        result; scaling_decomposition passes the caller's config here.
+        """
+        if self.product is None or len(self.config.q_grid) != 1:
+            raise ParameterError("decomposition needs a split kernel pass at one q")
+        q = self.config.q_grid[0]
+        taus = tuple(self.config.taus)
+        product = dict(zip(taus, self.product[0].tolist()))
+        covariance = dict(zip(taus, self.covariance[0].tolist()))
+
+        positive = tuple(t for t in taus if covariance[t] > 0.0)
+        n_excluded = len(taus) - len(positive)
+        alpha = reason = r_squared = None
+        if len(positive) < config.min_fit_points:
+            reason = ScalingDecomposition.NO_SCALING
+        else:
+            lt = np.log(np.array(positive, dtype=float))
+            lc = np.log(np.array([covariance[t] for t in positive]))
+            slope = _ols_slope(lt, lc)
+            resid = (lc - lc.mean()) - slope * (lt - lt.mean())
+            total = float(np.sum((lc - lc.mean()) ** 2))
+            r_squared = 1.0 - float(np.sum(resid**2)) / total if total > 0 else 1.0
+            if r_squared < ALPHA_MIN_R2:
+                reason = ScalingDecomposition.NO_SCALING
+            else:
+                alpha = slope / q
+        return ScalingDecomposition(
+            q, product, covariance, alpha, reason, positive, n_excluded,
+            r_squared, self.x.label, self.y.label, config,
+        )
+
+
+def pair_moments(
     x: TimeSeries, y: TimeSeries, config: EstimationConfig, split: bool = False
-) -> _PairMoments:
+) -> PairMoments:
     """One pass over the lag-tau increments of a pair for every (q, tau) cell.
 
     Per tau, the detrended increments of each series are built once and the
@@ -369,14 +407,14 @@ def _pair_moments(
                 am, bm = a.mean(), b.mean()
                 product[i, j] = am * bm
                 covariance[i, j] = np.mean((a - am) * (b - bm))
-    return _PairMoments(x, y, config, k_xy, k_xx, k_yy, product, covariance)
+    return PairMoments(x, y, config, k_xy, k_xx, k_yy, product, covariance)
 
 
 def covariance_grid(
     x: TimeSeries, y: TimeSeries, config: EstimationConfig
 ) -> HeightCovarianceGrid:
     """Evaluate the scaling function on every (q, tau) cell of the config."""
-    return _pair_moments(x, y, config).grid("xy")
+    return pair_moments(x, y, config).grid("xy")
 
 
 def _ols_slope(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -649,39 +687,7 @@ def scaling_decomposition(
     if q <= 0:
         raise ParameterError(f"q must be > 0, got {q}")
     sub = dataclasses.replace(config, q_grid=(float(q),))
-    return _decomposition(_pair_moments(x, y, sub, split=True), config)
-
-
-def _decomposition(moments: _PairMoments, config: EstimationConfig) -> ScalingDecomposition:
-    """The ScalingDecomposition at the single q of a split kernel pass.
-
-    config is the caller's, and is kept on the result.
-    """
-    q = moments.config.q_grid[0]
-    taus = tuple(moments.config.taus)
-    product = dict(zip(taus, moments.product[0].tolist()))
-    covariance = dict(zip(taus, moments.covariance[0].tolist()))
-
-    positive = tuple(t for t in taus if covariance[t] > 0.0)
-    n_excluded = len(taus) - len(positive)
-    alpha = reason = r_squared = None
-    if len(positive) < config.min_fit_points:
-        reason = ScalingDecomposition.NO_SCALING
-    else:
-        lt = np.log(np.array(positive, dtype=float))
-        lc = np.log(np.array([covariance[t] for t in positive]))
-        slope = _ols_slope(lt, lc)
-        resid = (lc - lc.mean()) - slope * (lt - lt.mean())
-        total = float(np.sum((lc - lc.mean()) ** 2))
-        r_squared = 1.0 - float(np.sum(resid**2)) / total if total > 0 else 1.0
-        if r_squared < ALPHA_MIN_R2:
-            reason = ScalingDecomposition.NO_SCALING
-        else:
-            alpha = slope / q
-    return ScalingDecomposition(
-        q, product, covariance, alpha, reason, positive, n_excluded,
-        r_squared, moments.x.label, moments.y.label, config,
-    )
+    return pair_moments(x, y, sub, split=True).decomposition(config)
 
 
 @dataclass(frozen=True)
@@ -712,7 +718,7 @@ def cross_persistence_verdict(
     when the average lies inside the interval.
     """
     sub = dataclasses.replace(config, q_grid=(float(q),))
-    moments = _pair_moments(x, y, sub)
+    moments = pair_moments(x, y, sub)
     # through the grids, which reject non-finite K as covariance_grid does
     k = np.vstack([moments.grid(which).k_matrix for which in ("xy", "xx", "yy")])
     results = _jackknife_rows(tuple(sub.taus), k, (q, q, q), sub, sub.min_fit_points)

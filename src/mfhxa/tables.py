@@ -1,7 +1,8 @@
 """Plot-ready tab-separated tables for grids, curves, and decompositions.
 
-Every table starts with '#'-prefixed key=value comment lines carrying the
-estimation config, so a table is self-describing and reproducible.
+Every table starts with '#'-prefixed key=value comment lines, so a table is
+self-describing and reproducible: grid and curve tables carry the estimation
+config, the decomposition table its q and fitted exponents.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from .estimator import (
     EstimationConfig,
     GeneralizedHurstCurve,
     HeightCovarianceGrid,
-    ScalingDecomposition,
+    PairMoments,
+    fit_hurst_single,
 )
 
 NA = "NA"
@@ -108,22 +110,30 @@ def write_pair_curves(
     )
 
 
-def write_decomposition(
-    path, dec: ScalingDecomposition, comments: list[str] = ()
-) -> None:
-    """Rows of (q, tau, product_term, covariance_term) plus the alpha record."""
+def write_decomposition(path, moments: PairMoments, comments: list[str] = ()) -> None:
+    """Rows of (tau, k_x, k_y, product_term, covariance_term) for a split pass at one q.
+
+    After the given comments come q, the univariate exponents h_x and h_y
+    (slopes of K_xx and K_yy over tau_min..tau_max, divided by q), alpha (or
+    the no-scaling marker), alpha_n_points and excluded_taus.
+    """
+    config = moments.config
+    q = config.q_grid[0]
+    dec = moments.decomposition(config)
+    gx, gy = moments.grid("xx"), moments.grid("yy")
+    h_x, h_y = (fit_hurst_single(g, q, config.tau_max_range[1]) for g in (gx, gy))
     alpha = NO_SCALING_MARKER if dec.alpha is None else format_number(dec.alpha)
-    rows = [
-        (dec.q, tau, dec.product_term[tau], dec.covariance_term[tau])
-        for tau in sorted(dec.product_term)
-    ]
-    rows.append(("alpha", dec.q, alpha, len(dec.alpha_fit_taus)))
     write_table(
         path,
-        [f"series_x={dec.x_label}", f"series_y={dec.y_label}"]
-        + list(comments)
-        + config_comments(dec.config)
-        + [f"excluded_taus={dec.n_excluded}"],
-        ["q", "tau", "product_term", "covariance_term"],
-        rows,
+        list(comments) + [
+            f"q={format_number(q)}",
+            f"h_x={format_number(h_x)}",
+            f"h_y={format_number(h_y)}",
+            f"alpha={alpha}",
+            f"alpha_n_points={len(dec.alpha_fit_taus)}",
+            f"excluded_taus={dec.n_excluded}",
+        ],
+        ["tau", "k_x", "k_y", "product_term", "covariance_term"],
+        list(zip(config.taus, gx.k_matrix[0].tolist(), gy.k_matrix[0].tolist(),
+                 dec.product_term.values(), dec.covariance_term.values())),
     )

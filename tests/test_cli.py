@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import mfhxa
+import mfhxa.cli
 from mfhxa.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -314,6 +316,16 @@ class TestReplicate:
         assert 0.6 < h_x < 0.9
         assert alpha > h_x
 
+    def test_fig2b_writes_one_table_per_rho(self, tmp_path):
+        assert main(["replicate", "fig2b", "seed=3", "--out", str(tmp_path)]) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"fig2b_rho_{r}_decomposition.tsv" for r in ("-0.5", "-1", "0.5", "1")]
+        for rho in ("-0.5", "-1", "0.5", "1"):
+            comments, header, rows = read_numeric(tmp_path / f"fig2b_rho_{rho}_decomposition.tsv")
+            assert "# command=replicate fig2b" in comments and f"# rho={float(rho)}" in comments
+            assert header == ["tau", "k_x", "k_y", "product_term", "covariance_term"]
+            assert len(rows) == 20
+
     def test_fig1d_panel_exponents(self, tmp_path):
         code = main(["replicate", "fig1d", "seed=11", "--out", str(tmp_path)])
         assert code == 0
@@ -431,6 +443,15 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_imports_only_public_library_names():
+    # the CLI calls the library; it does not reach into its private helpers
+    tree = ast.parse(Path(mfhxa.cli.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.level > 0 for alias in node.names]
+    assert "pair_moments" in imported and "write_decomposition" in imported
+    assert [n for n in imported if n.startswith("_") and not n.startswith("__")] == []
 
 
 def test_cli_import_skips_scipy_fft_and_signal():

@@ -18,7 +18,6 @@ from mfhxa import (
     TimeSeries,
     covariance_grid,
     cross_persistence_verdict,
-    detrend_increments,
     fit_hurst_single,
     generalized_hurst_curve,
     height_covariance,
@@ -28,8 +27,8 @@ from mfhxa import (
     scaling_decomposition,
     student_t_quantile,
     synthetic_preset,
-    tau_increments,
 )
+from mfhxa.estimator import _detrend_array, _filtered_increments
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -72,41 +71,63 @@ class TestConfig:
         with pytest.raises(ParameterError):
             EstimationConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(tau_min=1.5), "tau_min must be an integer, got 1.5"),
+            (dict(tau_max_range=(5.7, 20.2)), "tau_max_range end must be an integer, got 5.7"),
+            (dict(tau_max_range=(5, 20.0)), "tau_max_range end must be an integer, got 20.0"),
+            (dict(min_fit_points=2.5), "min_fit_points must be an integer, got 2.5"),
+            (dict(tau_min="2"), "tau_min must be an integer, got '2'"),
+        ],
+    )
+    def test_non_integer_lags_and_fit_points(self, kwargs, message):
+        with pytest.raises(ParameterError) as info:
+            EstimationConfig(q_grid=(2.0,), **kwargs)
+        assert str(info.value) == message
+
+    def test_integer_fields_take_numpy_integers_as_int(self):
+        cfg = EstimationConfig(q_grid=(2.0,), tau_min=np.int64(2),
+                               tau_max_range=(np.int32(5), np.int64(20)),
+                               min_fit_points=np.int16(3))
+        assert (cfg.tau_min, cfg.tau_max_range, cfg.min_fit_points) == (2, (5, 20), 3)
+        assert all(type(v) is int for v in (cfg.tau_min, *cfg.tau_max_range,
+                                            cfg.min_fit_points))
+
 
 class TestDetrend:
+    """Detrending through the kernel's increment builder."""
+
     def test_constant_removes_mean(self):
-        inc = tau_increments(series([0.0, 3.0, 6.0, 9.0]), 1)
-        out = detrend_increments(inc, "constant")
-        assert out.values.tolist() == [0.0, 0.0, 0.0]
+        out = _filtered_increments(series([0.0, 3.0, 6.0, 9.0]).values, 1, "constant")
+        assert out.tolist() == [0.0, 0.0, 0.0]
 
     def test_constant_zero_mean_unchanged(self):
-        inc = tau_increments(series([0.0, 1.0, 0.0, 2.0, 0.0]), 1)
-        assert inc.values.tolist() == [1.0, -1.0, 2.0, -2.0]
-        out = detrend_increments(inc, "constant")
-        assert out.values.tolist() == [1.0, -1.0, 2.0, -2.0]
+        values = series([0.0, 1.0, 0.0, 2.0, 0.0]).values
+        assert _filtered_increments(values, 1, "none").tolist() == [1.0, -1.0, 2.0, -2.0]
+        out = _filtered_increments(values, 1, "constant")
+        assert out.tolist() == [1.0, -1.0, 2.0, -2.0]
 
     def test_linear_removes_exact_line(self):
-        inc = tau_increments(series(np.cumsum([0.0, 1.0, 2.0, 3.0, 4.0])), 1)
-        assert inc.values.tolist() == [1.0, 2.0, 3.0, 4.0]
-        out = detrend_increments(inc, "linear")
-        np.testing.assert_allclose(out.values, np.zeros(4), atol=1e-12)
+        values = series(np.cumsum([0.0, 1.0, 2.0, 3.0, 4.0])).values
+        assert _filtered_increments(values, 1, "none").tolist() == [1.0, 2.0, 3.0, 4.0]
+        out = _filtered_increments(values, 1, "linear")
+        np.testing.assert_allclose(out, np.zeros(4), atol=1e-12)
 
     def test_none_is_identity(self):
-        inc = tau_increments(series([5.0, 1.0, 4.0]), 1)
-        assert detrend_increments(inc, "none").values.tolist() == inc.values.tolist()
+        inc = _filtered_increments(series([5.0, 1.0, 4.0]).values, 1, "none")
+        assert inc.tolist() == [-4.0, 3.0]
+        assert _detrend_array(inc, "none") is inc
 
     def test_too_short(self):
-        one = tau_increments(series([0.0, 1.0]), 1)
         with pytest.raises(InsufficientDataError):
-            detrend_increments(one, "constant")
-        two = tau_increments(series([0.0, 1.0, 2.0]), 1)
+            _filtered_increments(series([0.0, 1.0]).values, 1, "constant")
         with pytest.raises(InsufficientDataError):
-            detrend_increments(two, "linear")
+            _filtered_increments(series([0.0, 1.0, 2.0]).values, 1, "linear")
 
     def test_unknown_filter(self):
-        inc = tau_increments(series([0.0, 1.0, 2.0, 3.0]), 1)
         with pytest.raises(ParameterError):
-            detrend_increments(inc, "parabolic")
+            _filtered_increments(series([0.0, 1.0, 2.0, 3.0]).values, 1, "parabolic")
 
 
 class TestHeightCovariance:

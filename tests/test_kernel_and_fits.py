@@ -23,6 +23,7 @@ from mfhxa import (
     HeightCovarianceGrid,
     InsufficientPointsError,
     MfhxaError,
+    ParameterError,
     TimeSeries,
     covariance_grid,
     cross_persistence_verdict,
@@ -30,11 +31,12 @@ from mfhxa import (
     generalized_hurst_curve,
     hurst_curve_from_grid,
     jackknife_hurst,
+    pair_moments,
     q_range,
     scaling_decomposition,
     student_t_quantile,
 )
-from mfhxa.estimator import FILTERS, _pair_moments, _power
+from mfhxa.estimator import FILTERS, _power
 
 UNIFORM_QS = q_range(0.25, 6.0, 0.5)  # 12 evenly spaced q: the power-ladder path
 UNEVEN_QS = (0.3, 1.0, 2.5, 4.0, 7.5)  # direct powers
@@ -149,7 +151,7 @@ def test_kernel_matches_direct_summation(filt, qs):
     x = rng.standard_normal(n).cumsum()
     y = 0.6 * x + rng.standard_normal(n).cumsum()
     cfg = EstimationConfig(q_grid=qs, tau_max_range=(5, 25), filter=filt)
-    m = _pair_moments(TimeSeries(x, "x"), TimeSeries(y, "y"), cfg, split=True)
+    m = pair_moments(TimeSeries(x, "x"), TimeSeries(y, "y"), cfg, split=True)
     for i, q in enumerate(qs):
         for j, tau in enumerate(cfg.taus):
             want = direct_moments(x, y, q, tau, filt)
@@ -166,8 +168,8 @@ def test_kernel_matches_direct_summation(filt, qs):
 def test_kernel_self_pair_is_one_series(qs):
     x, y = walk_pair(3, n=500)
     cfg = EstimationConfig(q_grid=qs, tau_max_range=(5, 30), filter="linear")
-    pair = _pair_moments(x, y, cfg, split=True)
-    alone = _pair_moments(x, x, cfg, split=True)
+    pair = pair_moments(x, y, cfg, split=True)
+    alone = pair_moments(x, x, cfg, split=True)
     assert np.array_equal(alone.k_xy, alone.k_xx)
     assert np.array_equal(alone.k_yy, alone.k_xx)
     assert np.array_equal(pair.k_xx, alone.k_xx)
@@ -213,8 +215,8 @@ def test_one_q_kernel_matches_direct_summation(filt, q):
              (TimeSeries(x2, "x2"), TimeSeries(y2, "y2")), (alone, alone)]
     results = []
     for x, y in pairs:
-        m = _pair_moments(x, y, cfg, split=True)
-        assert np.array_equal(_pair_moments(x, y, cfg).k_xy, m.k_xy)
+        m = pair_moments(x, y, cfg, split=True)
+        assert np.array_equal(pair_moments(x, y, cfg).k_xy, m.k_xy)
         for j, tau in enumerate(cfg.taus):
             want = direct_moments(x.values, y.values, q, tau, filt)
             for key in ("k_xy", "k_xx", "k_yy", "product"):
@@ -233,7 +235,7 @@ def test_one_q_kernel_matches_direct_summation(filt, q):
 def test_split_terms_sum_to_k():
     x, y = walk_pair(4, rho=-0.3, n=2_000)
     cfg = EstimationConfig(q_grid=UNIFORM_QS, tau_max_range=(5, 40))
-    m = _pair_moments(x, y, cfg, split=True)
+    m = pair_moments(x, y, cfg, split=True)
     np.testing.assert_allclose(m.product + m.covariance, m.k_xy, rtol=1e-11)
     dec = scaling_decomposition(x, y, 2.0, cfg)
     for j, tau in enumerate(cfg.taus):
@@ -241,6 +243,16 @@ def test_split_terms_sum_to_k():
         assert close(dec.product_term[tau], want["product"])
         assert close(dec.covariance_term[tau], want["covariance"],
                      scale=max(want["k_xy"], want["product"]))
+
+
+def test_decomposition_needs_a_split_pass_at_one_q():
+    x, y = walk_pair(4, rho=-0.3, n=500)
+    one_q = EstimationConfig(q_grid=(2.0,), tau_max_range=(10, 10))
+    with pytest.raises(ParameterError, match="split kernel pass at one q"):
+        pair_moments(x, y, one_q).decomposition(one_q)
+    two_q = EstimationConfig(q_grid=(1.0, 2.0), tau_max_range=(10, 10))
+    with pytest.raises(ParameterError, match="split kernel pass at one q"):
+        pair_moments(x, y, two_q, split=True).decomposition(two_q)
 
 
 def test_covariance_term_keeps_its_centred_form():
@@ -417,7 +429,7 @@ def test_self_pair_gives_the_univariate_curve(seed, rho, name):
     cfg = PROPERTY_CONFIGS[name]
     x, y = walk_pair(seed, rho)
     alone = generalized_hurst_curve(x, x, cfg)
-    pair = _pair_moments(x, y, cfg)
+    pair = pair_moments(x, y, cfg)
     assert curve_values(hurst_curve_from_grid(pair.grid("xx"))) == curve_values(alone)
     q = cfg.q_grid[0]
     v = cross_persistence_verdict(x, x, q, cfg)

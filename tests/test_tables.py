@@ -5,9 +5,12 @@ from mfhxa import (
     EstimationConfig,
     TimeSeries,
     covariance_grid,
+    fit_hurst_single,
     hurst_curve_from_grid,
+    pair_moments,
     scaling_decomposition,
 )
+from mfhxa.csvio import format_number
 from mfhxa.tables import write_curve, write_decomposition, write_grid
 
 
@@ -61,21 +64,35 @@ def test_curve_table_has_interval_columns(tmp_path, walk_pair):
         assert row[5] == "ok"
 
 
-def test_decomposition_table_alpha_record(tmp_path, walk_pair):
+def test_decomposition_table_layout(tmp_path, walk_pair):
     x, y = walk_pair
     cfg = EstimationConfig(q_grid=(2.0,), tau_max_range=(10, 10), filter="none")
-    dec = scaling_decomposition(x, y, 2.0, cfg)
+    moments = pair_moments(x, y, cfg, split=True)
     out = tmp_path / "dec.tsv"
-    write_decomposition(out, dec)
+    write_decomposition(out, moments, ["source=test"])
     comments, header, rows = parse(out)
-    assert header == ["q", "tau", "product_term", "covariance_term"]
-    assert len(rows) == 11  # 10 taus + the alpha record
-    record = rows[-1]
-    assert record[0] == "alpha"
-    assert float(record[1]) == 2.0
-    if dec.alpha is None:
-        assert record[2] == "no-scaling"
-    else:
-        assert float(record[2]) == pytest.approx(dec.alpha, rel=1e-10)
-    assert int(record[3]) == len(dec.alpha_fit_taus)
-    assert any(c.startswith("excluded_taus=") for c in comments)
+    assert header == ["tau", "k_x", "k_y", "product_term", "covariance_term"]
+    assert [c.split("=", 1)[0] for c in comments] == [
+        "source", "q", "h_x", "h_y", "alpha", "alpha_n_points", "excluded_taus"]
+    record = dict(c.split("=", 1) for c in comments)
+
+    gx, gy = covariance_grid(x, x, cfg), covariance_grid(y, y, cfg)
+    np.testing.assert_allclose(moments.k_xx[0], gx.row(2.0), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(moments.k_yy[0], gy.row(2.0), rtol=1e-12, atol=0)
+    dec = scaling_decomposition(x, y, 2.0, cfg)
+    assert [int(r[0]) for r in rows] == list(cfg.taus)
+    for tau, k_x, k_y, product, covariance in rows:
+        tau = int(tau)
+        # cells carry 12 significant digits
+        assert float(k_x) == float(format_number(gx.value(2.0, tau)))
+        assert float(k_y) == float(format_number(gy.value(2.0, tau)))
+        assert product == format_number(dec.product_term[tau])
+        assert covariance == format_number(dec.covariance_term[tau])
+
+    assert record["q"] == "2"
+    assert record["h_x"] == format_number(fit_hurst_single(gx, 2.0, 10))
+    assert record["h_y"] == format_number(fit_hurst_single(gy, 2.0, 10))
+    alpha = "no-scaling" if dec.alpha is None else format_number(dec.alpha)
+    assert record["alpha"] == alpha
+    assert record["alpha_n_points"] == str(len(dec.alpha_fit_taus))
+    assert record["excluded_taus"] == str(dec.n_excluded)
