@@ -21,32 +21,33 @@ VOLUMES = FIXTURES / "market_volumes.csv"
 if not PRICES.exists():
     sys.exit("fixture missing; run demos/make_market_fixture.py first")
 
-work = Path(tempfile.mkdtemp(prefix="mfhxa_market_"))
-volatility = work / "volatility.csv"
-activity = work / "volume_deviation.csv"
+with tempfile.TemporaryDirectory(prefix="mfhxa_market_") as tmp:
+    work = Path(tmp)
+    volatility = work / "volatility.csv"
+    activity = work / "volume_deviation.csv"
 
-print(f"working directory: {work}")
-assert main(["transform", "abs-returns", "--in", str(PRICES),
-             "--out", str(volatility)]) == 0
-assert main(["transform", "volume-deviation", "window=500", "--in", str(VOLUMES),
-             "--out", str(activity)]) == 0
-print("transforms written: volatility (abs log returns), "
-      "volume relative deviation (window 500)")
+    print(f"working directory (removed at exit): {work}")
+    assert main(["transform", "abs-returns", "--in", str(PRICES),
+                 "--out", str(volatility)]) == 0
+    assert main(["transform", "volume-deviation", "window=500", "--in", str(VOLUMES),
+                 "--out", str(activity)]) == 0
+    print("transforms written: volatility (abs log returns), "
+          "volume relative deviation (window 500)")
 
-# the transformed series are stationary activity measures; input=increments
-# integrates them to a profile before the lagged differences are taken
-prefix = work / "market"
-code = main(["estimate", "preset=real", "input=increments", "--in", str(volatility),
-             "--in", str(activity), "--out", str(prefix)])
-print(f"estimate exit code: {code}")
+    # the transformed series are stationary activity measures; input=increments
+    # integrates them to a profile before the lagged differences are taken
+    prefix = work / "market"
+    code = main(["estimate", "preset=real", "input=increments", "--in", str(volatility),
+                 "--in", str(activity), "--out", str(prefix)])
+    print(f"estimate exit code: {code}")
 
-print(f"\ncurve table ({prefix}.curve.tsv), every third q:")
-lines = [l for l in Path(f"{prefix}.curve.tsv").read_text().splitlines()
-         if not l.startswith("#")]
-print(lines[0])
-for line in lines[1::3]:
-    print(line)
-print("\nColumns h_x (volatility), h_y (volume) and h_xy are the univariate and"
-      "\njoint exponents; values above 0.5 indicate persistence, and h_avg inside"
-      "\n[ci_low, ci_high] means the joint scaling is explained by the separate"
-      "\nprocesses plus their correlation.")
+    print(f"\ncurve table ({prefix}.curve.tsv), every third q:")
+    lines = [l for l in Path(f"{prefix}.curve.tsv").read_text().splitlines()
+             if not l.startswith("#")]
+    print(lines[0])
+    for line in lines[1::3]:
+        print(line)
+    print("\nColumns h_x (volatility), h_y (volume) and h_xy are the univariate and"
+          "\njoint exponents; values above 0.5 indicate persistence, and h_avg inside"
+          "\n[ci_low, ci_high] means the joint scaling is explained by the separate"
+          "\nprocesses plus their correlation.")

@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import os
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -187,6 +188,39 @@ def _require_inputs(inputs, lo: int, hi: int) -> list[Path]:
 
 # ---------------------------------------------------------------- generate
 
+GENERATOR_CONFIGS = {"mbm": MbmConfig, "arfima": ArfimaConfig,
+                     "two-component": TwoComponentConfig}
+
+
+def _config_from_params(cls, params: Params, **given):
+    """cls built from one key per dataclass field, in field order.
+
+    A field's type picks the parser (float or int) and its default makes the
+    key optional; seed goes through Params.seed. Fields in given are not read.
+    """
+    types = typing.get_type_hints(cls)
+    values = dict(given)
+    for field in dataclasses.fields(cls):
+        if field.name in given:
+            continue
+        if field.name == "seed":
+            values["seed"] = params.seed()
+            continue
+        default = None if field.default is dataclasses.MISSING else field.default
+        parse = params.number if types[field.name] is float else params.integer
+        values[field.name] = parse(field.name, default)
+    return cls(**values)
+
+
+def _arfima_pair(config: ArfimaConfig, d_y: float, rho: float) -> tuple[TimeSeries, TimeSeries]:
+    """X from config and Y from config with d = d_y, driven by noises correlated by rho."""
+    eps, nu = correlated_noise_pair(
+        NoisePairConfig(rho=rho, length=config.burn_in + config.length, seed=config.seed)
+    )
+    return (generate_arfima(config, noise=eps),
+            generate_arfima(dataclasses.replace(config, d=d_y), noise=nu))
+
+
 def cmd_generate(name: str | None, params: Params, inputs, out) -> int:
     if name is None or name not in GENERATORS:
         raise ParameterError(
@@ -195,67 +229,34 @@ def cmd_generate(name: str | None, params: Params, inputs, out) -> int:
     out_path = _require_out(out)
     _require_inputs(inputs, 0, 0)
 
-    if name == "mbm":
-        cfg = MbmConfig(m0=params.number("m0"), k=params.integer("k"))
-        params.reject_unknown()
-        series = generate_mbm(cfg)
-        cols, names, meta, seed = [series.values], ["mbm"], dataclasses.asdict(cfg), None
+    pair = {}
+    if name == "arfima-pair":
+        # X takes d=d1; Y is the same config with d=d2, fed the correlated noise
+        pair = {key: params.number(key) for key in ("d1", "d2", "rho")}
+        cfg = _config_from_params(ArfimaConfig, params, d=pair["d1"])
+    else:
+        cfg = _config_from_params(GENERATOR_CONFIGS[name], params)
+    params.reject_unknown()
+    if name == "arfima-pair":
+        series = _arfima_pair(cfg, pair["d2"], pair["rho"])
+    elif name == "two-component":
+        series = generate_two_component(cfg)
     elif name == "arfima":
-        cfg = ArfimaConfig(
-            d=params.number("d"),
-            length=params.integer("length"),
-            truncation=params.integer("truncation", ArfimaConfig.truncation),
-            burn_in=params.integer("burn_in", ArfimaConfig.burn_in),
-            seed=params.seed(),
-        )
-        params.reject_unknown()
-        series = generate_arfima(cfg)
-        meta = dataclasses.asdict(cfg)
-        seed = meta.pop("seed")
-        cols, names = [series.values], ["arfima"]
-    elif name == "arfima-pair":
-        seed = params.seed()
-        d1 = params.number("d1")
-        d2 = params.number("d2")
-        rho = params.number("rho")
-        length = params.integer("length")
-        truncation = params.integer("truncation", ArfimaConfig.truncation)
-        burn_in = params.integer("burn_in", ArfimaConfig.burn_in)
-        params.reject_unknown()
-        eps, nu = correlated_noise_pair(
-            NoisePairConfig(rho=rho, length=burn_in + length, seed=seed)
-        )
-        x = generate_arfima(
-            ArfimaConfig(d1, length, truncation, burn_in, seed), noise=eps
-        )
-        y = generate_arfima(
-            ArfimaConfig(d2, length, truncation, burn_in, seed), noise=nu
-        )
-        meta = {"d1": d1, "d2": d2, "rho": rho, "length": length,
-                "truncation": truncation, "burn_in": burn_in}
-        cols, names = [x.values, y.values], ["x", "y"]
-    else:  # two-component
-        cfg = TwoComponentConfig(
-            d1=params.number("d1"),
-            d2=params.number("d2"),
-            w=params.number("w"),
-            length=params.integer("length"),
-            burn_in=params.integer("burn_in", TwoComponentConfig.burn_in),
-            truncation=params.integer("truncation", TwoComponentConfig.truncation),
-            seed=params.seed(),
-        )
-        params.reject_unknown()
-        x, y = generate_two_component(cfg)
-        meta = dataclasses.asdict(cfg)
-        seed = meta.pop("seed")
-        cols, names = [x.values, y.values], ["x", "y"]
+        series = (generate_arfima(cfg),)
+    else:
+        series = (generate_mbm(cfg),)
 
+    meta = dataclasses.asdict(cfg)
+    seed = meta.pop("seed", None)
+    if pair:
+        del meta["d"]
+        meta.update(pair)
     meta = {k: format_number(v) if isinstance(v, float) else v for k, v in meta.items()}
     write_csv(
         out_path,
         manifest(f"generate {name}", meta, [], seed=seed),
-        names,
-        cols,
+        [name] if len(series) == 1 else ["x", "y"],
+        [s.values for s in series],
     )
     return 0
 
@@ -311,6 +312,16 @@ def _read_pair(paths: list[Path], x_col: int, y_col: int, mode: str):
     return series[0], series[-1]
 
 
+def _write_pair_curves(path, x: TimeSeries, y: TimeSeries, config: EstimationConfig,
+                       comments: list[str]):
+    """Write the joint and univariate curves of a pair; return its K_xy grid and joint curve."""
+    moments = pair_moments(x, y, config)
+    grid = moments.grid("xy")
+    xy, xx, yy = (hurst_curve_from_grid(g) for g in (grid, moments.grid("xx"), moments.grid("yy")))
+    write_pair_curves(path, xy, xx, yy, comments)
+    return grid, xy
+
+
 def cmd_estimate(params: Params, inputs, out) -> int:
     out_prefix = _require_out(out)
     preset = params.string("preset", "synthetic", choices=("synthetic", "real"))
@@ -344,17 +355,11 @@ def cmd_estimate(params: Params, inputs, out) -> int:
         grid = covariance_grid(x, x, config)
         curve = hurst_curve_from_grid(grid)
         write_curve(f"{out_prefix}.curve.tsv", curve, comments)
-        n_ok = len(curve.estimates)
     else:
-        moments = pair_moments(x, y, config)
-        grid = moments.grid("xy")
-        xy, xx, yy = (hurst_curve_from_grid(g)
-                      for g in (grid, moments.grid("xx"), moments.grid("yy")))
-        write_pair_curves(f"{out_prefix}.curve.tsv", xy, xx, yy, comments)
-        n_ok = len(xy.estimates)
+        grid, curve = _write_pair_curves(f"{out_prefix}.curve.tsv", x, y, config, comments)
     write_grid(f"{out_prefix}.grid.tsv", grid, comments)
 
-    if n_ok == 0:
+    if not curve.estimates:
         print("mfhxa: estimate: no q could be estimated; see the note column",
               file=sys.stderr)
         return 1
@@ -366,10 +371,10 @@ def cmd_estimate(params: Params, inputs, out) -> int:
 def cmd_decompose(params: Params, inputs, out) -> int:
     out_path = _require_out(out)
     q = params.number("q")
-    tau_min = params.integer("tau_min", 1)
+    tau_min = params.integer("tau_min", EstimationConfig.tau_min)
     tau_hi = params.integer("tau_max", 20)
-    filt = params.string("filter", "constant", choices=FILTERS)
-    min_fit_points = params.integer("min_fit_points", 4)
+    filt = params.string("filter", EstimationConfig.filter, choices=FILTERS)
+    min_fit_points = params.integer("min_fit_points", EstimationConfig.min_fit_points)
     mode = params.string("input", "levels", choices=("levels", "increments"))
     x_col = params.integer("x_col", 1)
     y_col = params.integer("y_col", 1)
@@ -395,15 +400,9 @@ def _mbm_pair() -> tuple[TimeSeries, TimeSeries]:
     return (TimeSeries(x.values, "mbm_m0=0.3"), TimeSeries(y.values, "mbm_m0=0.4"))
 
 
-def _arfima_pair(rho: float, seed: int) -> tuple[TimeSeries, TimeSeries]:
+def _arfima_profiles(rho: float, seed: int) -> tuple[TimeSeries, TimeSeries]:
     """Accumulated profiles of a correlated-innovation long-memory pair."""
-    length = 10_000
-    burn_in = ArfimaConfig.burn_in
-    eps, nu = correlated_noise_pair(
-        NoisePairConfig(rho=rho, length=burn_in + length, seed=seed)
-    )
-    x = generate_arfima(ArfimaConfig(d=0.3, length=length, seed=seed), noise=eps)
-    y = generate_arfima(ArfimaConfig(d=0.1, length=length, seed=seed), noise=nu)
+    x, y = _arfima_pair(ArfimaConfig(d=0.3, length=10_000, seed=seed), 0.1, rho)
     return accumulate(x), accumulate(y)
 
 
@@ -414,26 +413,10 @@ def _two_component_profiles(w: float, seed: int) -> tuple[TimeSeries, TimeSeries
     return accumulate(x), accumulate(y)
 
 
-def _write_panel_curves(outdir: Path, figure: str, x: TimeSeries, y: TimeSeries,
-                        meta: dict) -> None:
-    moments = pair_moments(x, y, synthetic_preset())
-    xy, xx, yy = (hurst_curve_from_grid(moments.grid(which)) for which in ("xy", "xx", "yy"))
-    write_pair_curves(outdir / f"{figure}_curves.tsv", xy, xx, yy,
-                      manifest(f"replicate {figure}", meta, []))
-
-
-def _write_panel_decomposition(outdir: Path, figure: str, suffix: str, x: TimeSeries,
-                               y: TimeSeries, meta: dict) -> None:
-    config = EstimationConfig(q_grid=(2.0,), tau_min=1, tau_max_range=(20, 20),
-                              filter="constant")
-    write_decomposition(outdir / f"{figure}{suffix}_decomposition.tsv",
-                        pair_moments(x, y, config, split=True),
-                        manifest(f"replicate {figure}", meta, []))
-
-
 RHO_PANELS = {"fig1b": (1.0,), "fig1c": (0.5,), "fig1d": (0.0,), "fig1e": (-0.5,),
               "fig1f": (-1.0,), "fig2b": (1.0, 0.5, -0.5, -1.0)}
 W_PANELS = {"fig1g": 0.75, "fig1h": 0.5, "fig2c": 0.75, "fig2d": 0.5}
+FIG2_CONFIG = EstimationConfig(q_grid=(2.0,), tau_max_range=(20, 20))
 
 
 def _panel_pairs(figure: str, seed):
@@ -441,7 +424,7 @@ def _panel_pairs(figure: str, seed):
     if figure in RHO_PANELS:
         for rho in RHO_PANELS[figure]:
             suffix = f"_rho_{format_number(rho)}" if figure == "fig2b" else ""
-            yield (suffix, *_arfima_pair(rho, seed),
+            yield (suffix, *_arfima_profiles(rho, seed),
                    {"process": "arfima-pair", "d_x": 0.3, "d_y": 0.1, "rho": rho,
                     "length": 10000, "seed": seed})
     elif figure in W_PANELS:
@@ -465,10 +448,13 @@ def cmd_replicate(figure: str | None, params: Params, inputs, out) -> int:
     params.reject_unknown()
     outdir.mkdir(parents=True, exist_ok=True)
     for suffix, x, y, meta in _panel_pairs(figure, seed):
+        comments = manifest(f"replicate {figure}", meta, [])
         if figure.startswith("fig1"):
-            _write_panel_curves(outdir, figure, x, y, meta)
+            _write_pair_curves(outdir / f"{figure}_curves.tsv", x, y, synthetic_preset(),
+                               comments)
         else:
-            _write_panel_decomposition(outdir, figure, suffix, x, y, meta)
+            write_decomposition(outdir / f"{figure}{suffix}_decomposition.tsv",
+                                pair_moments(x, y, FIG2_CONFIG, split=True), comments)
     return 0
 
 

@@ -26,6 +26,7 @@ prefix sums in `_window_slopes`.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from dataclasses import dataclass
 
@@ -70,6 +71,8 @@ class EstimationConfig:
         qs = tuple(float(q) for q in self.q_grid)
         if not qs:
             raise ParameterError("q_grid must not be empty")
+        if not all(math.isfinite(q) for q in qs):
+            raise ParameterError(f"all q must be finite, got {qs}")
         if any(q <= 0 for q in qs):
             raise ParameterError("all q must be > 0")
         if any(b <= a for a, b in zip(qs, qs[1:])):
@@ -115,6 +118,8 @@ def q_range(lo: float, hi: float, step: float = 0.1) -> tuple[float, ...]:
     """Inclusive arithmetic moment grid, rounded to avoid float drift."""
     if step <= 0:
         raise ParameterError(f"step must be > 0, got {step}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ParameterError(f"q range {lo}..{hi} step {step} must be finite")
     n = int(round((hi - lo) / step))
     qs = tuple(round(lo + i * step, 10) for i in range(n + 1))
     return tuple(q for q in qs if q <= hi + 1e-12)
@@ -196,8 +201,8 @@ def height_covariance(
     directly at one cell; grids and every pair statistic come from the pair
     kernel, which agrees with it to rounding.
     """
-    if q <= 0:
-        raise ParameterError(f"q must be > 0, got {q}")
+    if not 0 < q < math.inf:
+        raise ParameterError(f"q must be finite and > 0, got {q}")
     _check_pair(x, y, tau)
     dx = _filtered_increments(x.values, tau, filter)
     dy = _filtered_increments(y.values, tau, filter)
@@ -330,11 +335,11 @@ class PairMoments:
         return HeightCovarianceGrid(self.config.q_grid, tuple(self.config.taus), k,
                                     a.label, b.label, self.config)
 
-    def decomposition(self, config: EstimationConfig) -> ScalingDecomposition:
+    def decomposition(self) -> ScalingDecomposition:
         """The ScalingDecomposition of a split pass at a single q.
 
-        config supplies min_fit_points for the alpha fit and is kept on the
-        result; scaling_decomposition passes the caller's config here.
+        The alpha fit reads min_fit_points from the config of this pass,
+        which the result keeps.
         """
         if self.product is None or len(self.config.q_grid) != 1:
             raise ParameterError("decomposition needs a split kernel pass at one q")
@@ -344,25 +349,18 @@ class PairMoments:
         covariance = dict(zip(taus, self.covariance[0].tolist()))
 
         positive = tuple(t for t in taus if covariance[t] > 0.0)
-        n_excluded = len(taus) - len(positive)
-        alpha = reason = r_squared = None
-        if len(positive) < config.min_fit_points:
-            reason = ScalingDecomposition.NO_SCALING
-        else:
+        alpha = r_squared = None
+        if len(positive) >= self.config.min_fit_points:
             lt = np.log(np.array(positive, dtype=float))
             lc = np.log(np.array([covariance[t] for t in positive]))
             slope = _ols_slope(lt, lc)
             resid = (lc - lc.mean()) - slope * (lt - lt.mean())
             total = float(np.sum((lc - lc.mean()) ** 2))
             r_squared = 1.0 - float(np.sum(resid**2)) / total if total > 0 else 1.0
-            if r_squared < ALPHA_MIN_R2:
-                reason = ScalingDecomposition.NO_SCALING
-            else:
+            if r_squared >= ALPHA_MIN_R2:
                 alpha = slope / q
-        return ScalingDecomposition(
-            q, product, covariance, alpha, reason, positive, n_excluded,
-            r_squared, self.x.label, self.y.label, config,
-        )
+        return ScalingDecomposition(q, product, covariance, alpha, positive, r_squared,
+                                    self.x.label, self.y.label, self.config)
 
 
 def pair_moments(
@@ -488,7 +486,6 @@ class HurstEstimate:
     h: float
     ci_low: float
     ci_high: float
-    n_resamples: int
     per_tau_max: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
@@ -496,8 +493,10 @@ class HurstEstimate:
             raise ParameterError(
                 f"invalid interval: {self.ci_low} <= {self.h} <= {self.ci_high} fails"
             )
-        if self.n_resamples != len(self.per_tau_max):
-            raise ParameterError("n_resamples must equal len(per_tau_max)")
+
+    @property
+    def n_resamples(self) -> int:
+        return len(self.per_tau_max)
 
 
 def student_t_quantile(p: float, dof: int) -> float:
@@ -528,8 +527,7 @@ def _single_tau_max_error() -> ConfidenceUndefinedError:
     )
 
 
-def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig,
-                    min_fit_points: int) -> list:
+def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig) -> list:
     """Jackknife estimate of every row of k (row i at qs[i]) from one fit pass.
 
     Returns one HurstEstimate per row, or the error that row's estimate
@@ -538,7 +536,7 @@ def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig,
     tau_maxes = config.tau_maxes
     if len(tau_maxes) == 1:
         return [_single_tau_max_error() for _ in qs]
-    slopes, failures = _window_slopes(taus, k, qs, tau_maxes, min_fit_points)
+    slopes, failures = _window_slopes(taus, k, qs, tau_maxes, config.min_fit_points)
     hs = slopes / np.asarray(qs, dtype=float)[:, None]
     h = hs.mean(axis=1)
     dof = _effective_dof(config, len(tau_maxes))
@@ -551,7 +549,7 @@ def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig,
             continue
         hi, wi = float(h[i]), float(half[i])
         try:
-            out.append(HurstEstimate(float(q), hi, hi - wi, hi + wi, len(tau_maxes),
+            out.append(HurstEstimate(float(q), hi, hi - wi, hi + wi,
                                      tuple(zip(tau_maxes, hs[i].tolist()))))
         except MfhxaError as exc:
             out.append(exc)
@@ -573,7 +571,7 @@ def _grid_estimates(grid: HeightCovarianceGrid, qs, config: EstimationConfig) ->
             results.append(ParameterError(f"tau_max={config.tau_max_range[0]}: {exc}"))
     found = [i for i, r in enumerate(results) if isinstance(r, int)]
     fitted = _jackknife_rows(grid.tau_values, grid.k_matrix[[results[i] for i in found]],
-                             [qs[i] for i in found], config, grid.config.min_fit_points)
+                             [qs[i] for i in found], config)
     for i, result in zip(found, fitted):
         results[i] = result
     return results
@@ -584,6 +582,8 @@ def jackknife_hurst(
 ) -> HurstEstimate:
     """Mean and t-interval of the slope fits obtained while varying tau_max.
 
+    Every fit setting comes from config: its tau_max range, min_fit_points
+    and confidence; the grid supplies only the K values and their taus.
     Each tau_max in the config's range yields one fit over tau_min..tau_max.
     The point estimate is the mean of those fits. Treating the exponent as
     normally distributed with unknown variance, the interval is
@@ -663,15 +663,21 @@ class ScalingDecomposition:
     product_term: dict[int, float]
     covariance_term: dict[int, float]
     alpha: float | None
-    alpha_reason: str | None
     alpha_fit_taus: tuple[int, ...]
-    n_excluded: int
     r_squared: float | None
     x_label: str
     y_label: str
     config: EstimationConfig
 
     NO_SCALING = "no covariance scaling"
+
+    @property
+    def alpha_reason(self) -> str | None:
+        return self.NO_SCALING if self.alpha is None else None
+
+    @property
+    def n_excluded(self) -> int:
+        return len(self.covariance_term) - len(self.alpha_fit_taus)
 
 
 def scaling_decomposition(
@@ -684,10 +690,10 @@ def scaling_decomposition(
     |dY|^(q/2); their sum reproduces the scaling function exactly. alpha(q)
     is the log-log slope of the covariance term over tau, divided by q.
     """
-    if q <= 0:
-        raise ParameterError(f"q must be > 0, got {q}")
+    if not 0 < q < math.inf:
+        raise ParameterError(f"q must be finite and > 0, got {q}")
     sub = dataclasses.replace(config, q_grid=(float(q),))
-    return pair_moments(x, y, sub, split=True).decomposition(config)
+    return pair_moments(x, y, sub, split=True).decomposition()
 
 
 @dataclass(frozen=True)
@@ -696,16 +702,22 @@ class CrossPersistenceVerdict:
 
     q: float
     h_xy: HurstEstimate
-    h_avg: float
-    deviates: bool
-    direction: str  # above | below | none
     h_x: HurstEstimate
     h_y: HurstEstimate
 
-    def __post_init__(self):
-        inside = self.h_xy.ci_low <= self.h_avg <= self.h_xy.ci_high
-        if self.deviates == inside:
-            raise ParameterError("deviates flag inconsistent with the interval")
+    @property
+    def h_avg(self) -> float:
+        return 0.5 * (self.h_x.h + self.h_y.h)
+
+    @property
+    def deviates(self) -> bool:
+        return not self.h_xy.ci_low <= self.h_avg <= self.h_xy.ci_high
+
+    @property
+    def direction(self) -> str:
+        if not self.deviates:
+            return "none"
+        return "above" if self.h_avg < self.h_xy.ci_low else "below"
 
 
 def cross_persistence_verdict(
@@ -721,17 +733,9 @@ def cross_persistence_verdict(
     moments = pair_moments(x, y, sub)
     # through the grids, which reject non-finite K as covariance_grid does
     k = np.vstack([moments.grid(which).k_matrix for which in ("xy", "xx", "yy")])
-    results = _jackknife_rows(tuple(sub.taus), k, (q, q, q), sub, sub.min_fit_points)
+    results = _jackknife_rows(tuple(sub.taus), k, (q, q, q), sub)
     for result in results:
         if isinstance(result, MfhxaError):
             raise result
     h_xy, h_x, h_y = results
-    h_avg = 0.5 * (h_x.h + h_y.h)
-    deviates = not h_xy.ci_low <= h_avg <= h_xy.ci_high
-    if not deviates:
-        direction = "none"
-    elif h_avg < h_xy.ci_low:
-        direction = "above"
-    else:
-        direction = "below"
-    return CrossPersistenceVerdict(float(q), h_xy, h_avg, deviates, direction, h_x, h_y)
+    return CrossPersistenceVerdict(float(q), h_xy, h_x, h_y)

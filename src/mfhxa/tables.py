@@ -119,7 +119,7 @@ def write_decomposition(path, moments: PairMoments, comments: list[str] = ()) ->
     """
     config = moments.config
     q = config.q_grid[0]
-    dec = moments.decomposition(config)
+    dec = moments.decomposition()
     gx, gy = moments.grid("xx"), moments.grid("yy")
     h_x, h_y = (fit_hurst_single(g, q, config.tau_max_range[1]) for g in (gx, gy))
     alpha = NO_SCALING_MARKER if dec.alpha is None else format_number(dec.alpha)

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 import mfhxa
 import mfhxa.cli
 from mfhxa.cli import main
+from mfhxa.csvio import format_number
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -81,6 +84,27 @@ class TestGenerate:
         assert code == 0
         _, header, rows = read_numeric(out)
         assert header == ["x", "y"] and len(rows) == 300
+
+    @pytest.mark.parametrize("name, config, build", [
+        ("mbm", mfhxa.MbmConfig(m0=0.35, k=6), lambda c: (mfhxa.generate_mbm(c),)),
+        ("arfima", mfhxa.ArfimaConfig(d=0.27, length=300, truncation=120, burn_in=35,
+                                      seed=11),
+         lambda c: (mfhxa.generate_arfima(c),)),
+        ("two-component", mfhxa.TwoComponentConfig(d1=0.31, d2=0.17, w=0.8, length=300,
+                                                   burn_in=35, truncation=120, seed=11),
+         mfhxa.generate_two_component),
+    ])
+    def test_every_config_field_is_read(self, tmp_path, name, config, build):
+        values = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        out = tmp_path / "g.csv"
+        argv = ["generate", name, *(f"{k}={v}" for k, v in values.items())]
+        assert main(argv + ["--out", str(out)]) == 0
+        comments, _, rows = read_numeric(out)
+        for key, value in values.items():
+            assert f"# {key}={value}" in comments
+        want = [s.values for s in build(config)]
+        assert [[float(cell) for cell in row] for row in rows] == [
+            [float(format_number(v)) for v in cells] for cells in zip(*want)]
 
     def test_unknown_generator(self, tmp_path, capsys):
         code = main(["generate", "brownian", "--out", str(tmp_path / "x.csv")])
@@ -433,6 +457,30 @@ def test_estimate_zero_q_step_is_a_parameter_error(tmp_path, capsys):
     code = main(["estimate", "q_step=0", "--in", str(src), "--out", str(tmp_path / "est")])
     assert code == 2
     assert "mfhxa: estimate: step must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["estimate", "q_max=nan"], ["estimate", "q_max=inf"],
+                                  ["decompose", "q=nan"], ["decompose", "q=inf"]])
+def test_non_finite_q_exits_2_with_one_line(tmp_path, capsys, argv):
+    src = tmp_path / "a.csv"
+    write_levels_csv(src, np.arange(200.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--in", str(src), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"mfhxa: {argv[0]}: ") and err.count("\n") == 1
+    assert "finite" in err
+
+
+def test_market_demo_leaves_no_temporary_files(tmp_path):
+    demo = Path(mfhxa.__file__).resolve().parents[2] / "demos" / "market_pipeline.py"
+    src = str(Path(mfhxa.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "TMPDIR": str(tmp_path)}
+    run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_skips_scipy_stats():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from mfhxa import (
     ConfidenceUndefinedError,
     DegenerateScalingError,
+    CrossPersistenceVerdict,
     EstimationConfig,
     HeightCovarianceGrid,
+    HurstEstimate,
     InsufficientDataError,
     InsufficientPointsError,
     LagTooLargeError,
@@ -86,6 +89,24 @@ class TestConfig:
             EstimationConfig(q_grid=(2.0,), **kwargs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("q_grid", [(1.0, math.nan), (math.inf,), (-math.inf, 1.0)])
+    def test_non_finite_q_is_rejected(self, q_grid):
+        with pytest.raises(ParameterError, match="all q must be finite"):
+            EstimationConfig(q_grid=q_grid)
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.1, math.nan, 0.1), (0.1, math.inf, 0.1), (math.nan, 3.0, 0.1),
+        (-math.inf, 3.0, 0.1), (0.1, 3.0, math.nan), (0.1, 3.0, math.inf),
+    ])
+    def test_q_range_rejects_non_finite_bounds_and_step(self, lo, hi, step):
+        with pytest.raises(ParameterError, match="must be finite"):
+            q_range(lo, hi, step)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, -math.inf])
+    def test_q_range_keeps_the_step_message(self, step):
+        with pytest.raises(ParameterError, match="step must be > 0"):
+            q_range(0.1, 3.0, step)
+
     def test_integer_fields_take_numpy_integers_as_int(self):
         cfg = EstimationConfig(q_grid=(2.0,), tau_min=np.int64(2),
                                tau_max_range=(np.int32(5), np.int64(20)),
@@ -152,6 +173,11 @@ class TestHeightCovariance:
     @pytest.mark.parametrize("q", [0.0, -1.0])
     def test_q_must_be_positive(self, q):
         with pytest.raises(ParameterError):
+            height_covariance(series([1, 2, 3]), series([1, 2, 3]), q, 1)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_q_must_be_finite(self, q):
+        with pytest.raises(ParameterError, match="q must be finite and > 0"):
             height_covariance(series([1, 2, 3]), series([1, 2, 3]), q, 1)
 
     def test_tau_out_of_range(self):
@@ -280,6 +306,14 @@ class TestJackknife:
         assert est.ci_low == est.ci_high == 0.0
         assert est.n_resamples == 9
 
+    def test_fit_settings_come_from_the_config_not_the_grid(self):
+        built = EstimationConfig(q_grid=(2.0,), tau_max_range=(4, 8), min_fit_points=2)
+        g = power_law_grid((2.0,), range(1, 9), 1.0, 0.5, built)
+        cfg = dataclasses.replace(built, min_fit_points=5)
+        with pytest.raises(InsufficientPointsError) as info:
+            jackknife_hurst(g, 2.0, cfg)
+        assert str(info.value) == "tau_max=4: 4 tau values available up to tau_max=4, need 5"
+
     def test_exact_power_law_recovery(self):
         cfg = EstimationConfig(q_grid=(2.0,), tau_max_range=(5, 40))
         g = power_law_grid((2.0,), range(1, 41), 3.0, 0.8, cfg)
@@ -386,8 +420,30 @@ class TestScalingDecomposition:
         with pytest.raises(ParameterError):
             scaling_decomposition(series([1, 2, 3] * 4), series([1, 2, 3] * 4), -2.0, cfg)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_q_must_be_finite(self, q):
+        cfg = EstimationConfig(q_grid=(1.0,), tau_max_range=(5, 5))
+        with pytest.raises(ParameterError, match="q must be finite and > 0"):
+            scaling_decomposition(series([1, 2, 3] * 4), series([1, 2, 3] * 4), q, cfg)
+
 
 class TestVerdict:
+    @pytest.mark.parametrize("h_x, h_y, deviates, direction", [
+        (0.25, 0.25, True, "above"),
+        (0.75, 0.75, True, "below"),
+        (0.5, 0.5, False, "none"),
+        (0.25, 0.5, False, "none"),  # h_avg exactly on ci_low counts as inside
+        (0.5, 0.75, False, "none"),  # and exactly on ci_high
+    ])
+    def test_direction_from_the_estimates(self, h_x, h_y, deviates, direction):
+        def point(h):
+            return HurstEstimate(2.0, h, h, h, ())
+
+        v = CrossPersistenceVerdict(2.0, HurstEstimate(2.0, 0.5, 0.375, 0.625, ()),
+                                    point(h_x), point(h_y))
+        assert v.h_avg == 0.5 * (h_x + h_y)
+        assert (v.deviates, v.direction) == (deviates, direction)
+
     def test_self_pair_never_deviates(self):
         rng = np.random.default_rng(8)
         x = series(rng.standard_normal(600).cumsum())

@@ -249,10 +249,10 @@ def test_decomposition_needs_a_split_pass_at_one_q():
     x, y = walk_pair(4, rho=-0.3, n=500)
     one_q = EstimationConfig(q_grid=(2.0,), tau_max_range=(10, 10))
     with pytest.raises(ParameterError, match="split kernel pass at one q"):
-        pair_moments(x, y, one_q).decomposition(one_q)
+        pair_moments(x, y, one_q).decomposition()
     two_q = EstimationConfig(q_grid=(1.0, 2.0), tau_max_range=(10, 10))
     with pytest.raises(ParameterError, match="split kernel pass at one q"):
-        pair_moments(x, y, two_q, split=True).decomposition(two_q)
+        pair_moments(x, y, two_q, split=True).decomposition()
 
 
 def test_covariance_term_keeps_its_centred_form():
