@@ -29,6 +29,7 @@ from .csvio import format_number, read_columns, read_series, write_csv
 from .errors import MfhxaError, ParameterError
 from .estimator import (
     FILTERS,
+    Q_STEP,
     EstimationConfig,
     covariance_grid,
     hurst_curve_from_grid,
@@ -334,7 +335,7 @@ def cmd_estimate(params: Params, inputs, out) -> int:
         base,
         q_grid=q_range(params.number("q_min", base.q_grid[0]),
                        params.number("q_max", base.q_grid[-1]),
-                       params.number("q_step", 0.1)),
+                       params.number("q_step", Q_STEP)),
         tau_min=params.integer("tau_min", base.tau_min),
         tau_max_range=params.tau_range("tau_max", base.tau_max_range),
         filter=params.string("filter", base.filter, choices=FILTERS),

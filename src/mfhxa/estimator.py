@@ -20,7 +20,10 @@ builds the detrended increments of each series once and walks the q grid
 once, giving K_xy, K_xx, K_yy and, with split=True, the product and
 covariance terms, which `PairMoments.decomposition` turns into a
 `ScalingDecomposition`. Every (q, tau_max) slope then comes from one pass of
-prefix sums in `_window_slopes`.
+prefix sums in `_window_slopes`, and every jackknife estimate (of a curve, a
+verdict or `jackknife_hurst`) from one routine, `_jackknife_rows`, which fits
+only the grid taus within the config's taus. A curve holds one result per q
+of its grid, in order: the estimate, or that q's failure note.
 """
 
 from __future__ import annotations
@@ -114,7 +117,10 @@ class EstimationConfig:
         return range(self.tau_min, self.tau_max_range[1] + 1)
 
 
-def q_range(lo: float, hi: float, step: float = 0.1) -> tuple[float, ...]:
+Q_STEP = 0.1  # the default spacing of a q_range grid
+
+
+def q_range(lo: float, hi: float, step: float = Q_STEP) -> tuple[float, ...]:
     """Inclusive arithmetic moment grid, rounded to avoid float drift."""
     if step <= 0:
         raise ParameterError(f"step must be > 0, got {step}")
@@ -230,10 +236,13 @@ class HeightCovarianceGrid:
             )
         if np.any(k < 0) or not np.all(np.isfinite(k)):
             raise ParameterError("covariance grid entries must be finite and >= 0")
+        qs = tuple(float(q) for q in self.q_values)
+        if any(b <= a for a, b in zip(qs, qs[1:])):
+            raise ParameterError(f"grid q values must be strictly increasing, got {qs}")
         k = k.copy()
         k.setflags(write=False)
         object.__setattr__(self, "k_matrix", k)
-        object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
+        object.__setattr__(self, "q_values", qs)
         object.__setattr__(self, "tau_values", tuple(int(t) for t in self.tau_values))
 
     def q_index(self, q: float) -> int:
@@ -521,22 +530,22 @@ def _effective_dof(config: EstimationConfig, n: int) -> int:
     return min(n - 1, int(np.log2(hi / lo)) + 1)
 
 
-def _single_tau_max_error() -> ConfidenceUndefinedError:
-    return ConfidenceUndefinedError(
-        "confidence interval undefined for a single tau_max; widen tau_max_range"
-    )
-
-
 def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig) -> list:
     """Jackknife estimate of every row of k (row i at qs[i]) from one fit pass.
 
-    Returns one HurstEstimate per row, or the error that row's estimate
-    raises, its message prefixed with the tau_max of the failing window.
+    Only the columns whose tau lies in config.taus are fitted. Returns one
+    HurstEstimate per row, or the error that row's estimate raises, its
+    message prefixed with the tau_max of the failing window.
     """
     tau_maxes = config.tau_maxes
     if len(tau_maxes) == 1:
-        return [_single_tau_max_error() for _ in qs]
-    slopes, failures = _window_slopes(taus, k, qs, tau_maxes, config.min_fit_points)
+        return [ConfidenceUndefinedError(
+            "confidence interval undefined for a single tau_max; widen tau_max_range"
+        ) for _ in qs]
+    t, kept = np.asarray(taus), config.taus
+    fitted = (t >= kept.start) & (t < kept.stop)
+    slopes, failures = _window_slopes(t[fitted], k[:, fitted], qs, tau_maxes,
+                                      config.min_fit_points)
     hs = slopes / np.asarray(qs, dtype=float)[:, None]
     h = hs.mean(axis=1)
     dof = _effective_dof(config, len(tau_maxes))
@@ -556,34 +565,14 @@ def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig) -> list:
     return out
 
 
-def _grid_estimates(grid: HeightCovarianceGrid, qs, config: EstimationConfig) -> list:
-    """_jackknife_rows on the grid's rows at qs, in order.
-
-    A q that is not on the grid fails as its first window would.
-    """
-    if len(config.tau_maxes) == 1:
-        return [_single_tau_max_error() for _ in qs]
-    results: list = []
-    for q in qs:
-        try:
-            results.append(grid.q_index(q))
-        except ParameterError as exc:
-            results.append(ParameterError(f"tau_max={config.tau_max_range[0]}: {exc}"))
-    found = [i for i, r in enumerate(results) if isinstance(r, int)]
-    fitted = _jackknife_rows(grid.tau_values, grid.k_matrix[[results[i] for i in found]],
-                             [qs[i] for i in found], config)
-    for i, result in zip(found, fitted):
-        results[i] = result
-    return results
-
-
 def jackknife_hurst(
     grid: HeightCovarianceGrid, q: float, config: EstimationConfig
 ) -> HurstEstimate:
     """Mean and t-interval of the slope fits obtained while varying tau_max.
 
-    Every fit setting comes from config: its tau_max range, min_fit_points
-    and confidence; the grid supplies only the K values and their taus.
+    Every fit setting comes from config: its taus, tau_max range,
+    min_fit_points and confidence; the grid supplies only the K values and
+    their taus, of which those outside tau_min..max(tau_max) are left out.
     Each tau_max in the config's range yields one fit over tau_min..tau_max.
     The point estimate is the mean of those fits. Treating the exponent as
     normally distributed with unknown variance, the interval is
@@ -591,7 +580,8 @@ def jackknife_hurst(
     deviation over the fits and dof the effective (octave-based) count of
     independent fits in the family.
     """
-    (result,) = _grid_estimates(grid, (q,), config)
+    i = grid.q_index(q)
+    (result,) = _jackknife_rows(grid.tau_values, grid.k_matrix[i:i + 1], (q,), config)
     if isinstance(result, MfhxaError):
         raise result
     return result
@@ -599,18 +589,21 @@ def jackknife_hurst(
 
 @dataclass(frozen=True)
 class GeneralizedHurstCurve:
-    """Jackknife estimates over the moment grid, with per-q failure notes."""
+    """One jackknife result per grid q: its HurstEstimate, or its failure note."""
 
-    estimates: tuple[HurstEstimate, ...]
+    q_values: tuple[float, ...]
+    results: tuple[HurstEstimate | str, ...]
     x_label: str
     y_label: str
     config: EstimationConfig
-    failures: tuple[tuple[float, str], ...] = ()
 
-    def __post_init__(self):
-        qs = [e.q for e in self.estimates]
-        if any(b <= a for a, b in zip(qs, qs[1:])):
-            raise ParameterError("curve estimates must be strictly increasing in q")
+    @property
+    def estimates(self) -> tuple[HurstEstimate, ...]:
+        return tuple(r for r in self.results if isinstance(r, HurstEstimate))
+
+    @property
+    def failures(self) -> tuple[tuple[float, str], ...]:
+        return tuple((q, r) for q, r in zip(self.q_values, self.results) if isinstance(r, str))
 
     def estimate(self, q: float) -> HurstEstimate:
         for e in self.estimates:
@@ -621,16 +614,10 @@ class GeneralizedHurstCurve:
 
 def hurst_curve_from_grid(grid: HeightCovarianceGrid) -> GeneralizedHurstCurve:
     """Jackknife estimate at every q of the grid; failures are recorded, not raised."""
-    config = grid.config
-    estimates: list[HurstEstimate] = []
-    failures: list[tuple[float, str]] = []
-    for q, result in zip(config.q_grid, _grid_estimates(grid, config.q_grid, config)):
-        if isinstance(result, MfhxaError):
-            failures.append((q, str(result)))
-        else:
-            estimates.append(result)
+    results = _jackknife_rows(grid.tau_values, grid.k_matrix, grid.q_values, grid.config)
     return GeneralizedHurstCurve(
-        tuple(estimates), grid.x_label, grid.y_label, config, tuple(failures)
+        grid.q_values, tuple(str(r) if isinstance(r, MfhxaError) else r for r in results),
+        grid.x_label, grid.y_label, grid.config,
     )
 
 

@@ -8,6 +8,7 @@ config, the decomposition table its q and fitted exponents.
 from __future__ import annotations
 
 from .csvio import format_number, write_table
+from .errors import ParameterError
 from .estimator import (
     EstimationConfig,
     GeneralizedHurstCurve,
@@ -48,30 +49,22 @@ def write_grid(path, grid: HeightCovarianceGrid, comments: list[str] = ()) -> No
     )
 
 
-def _curve_cells(curve: GeneralizedHurstCurve, q: float):
-    """(h, ci_low, ci_high, n, note) table cells for one q."""
-    for e in curve.estimates:
-        if abs(e.q - q) < 1e-12:
-            return e.h, e.ci_low, e.ci_high, e.n_resamples, "ok"
-    for fq, msg in curve.failures:
-        if abs(fq - q) < 1e-12:
-            return NA, NA, NA, 0, msg
-    return NA, NA, NA, 0, "not estimated"
+def _curve_cells(result):
+    """(h, ci_low, ci_high, n, note) table cells for one curve result."""
+    if isinstance(result, str):
+        return NA, NA, NA, 0, result
+    return result.h, result.ci_low, result.ci_high, result.n_resamples, "ok"
 
 
 def write_curve(path, curve: GeneralizedHurstCurve, comments: list[str] = ()) -> None:
     """Rows of (q, h, ci_low, ci_high, n, note); failed q keep a note only."""
-    rows = []
-    for q in curve.config.q_grid:
-        h, lo, hi, n, note = _curve_cells(curve, q)
-        rows.append((q, h, lo, hi, n, note))
     write_table(
         path,
         [f"series_x={curve.x_label}", f"series_y={curve.y_label}"]
         + list(comments)
         + config_comments(curve.config),
         ["q", "h", "ci_low", "ci_high", "n", "note"],
-        rows,
+        [(q, *_curve_cells(r)) for q, r in zip(curve.q_values, curve.results)],
     )
 
 
@@ -83,11 +76,12 @@ def write_pair_curves(
     comments: list[str] = (),
 ) -> None:
     """Joint and univariate exponents side by side, with the average column."""
+    if not xy.q_values == x_curve.q_values == y_curve.q_values:
+        raise ParameterError("the joint and univariate curves must share one q grid")
     rows = []
-    for q in xy.config.q_grid:
-        h_xy, lo, hi, n, note_xy = _curve_cells(xy, q)
-        h_x = _curve_cells(x_curve, q)
-        h_y = _curve_cells(y_curve, q)
+    for q, r_xy, r_x, r_y in zip(xy.q_values, xy.results, x_curve.results, y_curve.results):
+        h_xy, lo, hi, n, note_xy = _curve_cells(r_xy)
+        h_x, h_y = _curve_cells(r_x), _curve_cells(r_y)
         notes = [note_xy]
         for tag, cells in (("x", h_x), ("y", h_y)):
             if cells[4] != "ok":

@@ -24,6 +24,7 @@ from mfhxa import (
     fit_hurst_single,
     generalized_hurst_curve,
     height_covariance,
+    hurst_curve_from_grid,
     jackknife_hurst,
     q_range,
     real_preset,
@@ -257,6 +258,13 @@ class TestCovarianceGrid:
         with pytest.raises(LagTooLargeError):
             covariance_grid(series([1.0, 2.0, 3.0]), series([1.0, 2.0, 3.0]), cfg)
 
+    @pytest.mark.parametrize("qs", [(2.0, 1.0), (1.0, 1.0)])
+    def test_q_values_must_increase_strictly(self, qs):
+        cfg = EstimationConfig(q_grid=(1.0, 2.0), tau_max_range=(4, 8))
+        with pytest.raises(ParameterError) as info:
+            HeightCovarianceGrid(qs, range(1, 9), np.ones((2, 8)), "x", "y", cfg)
+        assert str(info.value) == f"grid q values must be strictly increasing, got {qs}"
+
 
 def power_law_grid(q_grid, taus, amplitude, h0, config):
     k = np.array([[amplitude * t ** (q * h0) for t in taus] for q in q_grid])
@@ -348,6 +356,16 @@ class TestJackknife:
         g = power_law_grid((1.0,), range(1, 7), 1.0, 0.5, cfg)
         with pytest.raises(ConfidenceUndefinedError):
             jackknife_hurst(g, 1.0, cfg)
+
+    def test_grid_taus_below_the_config_tau_min_are_not_fitted(self):
+        walk = series(np.random.default_rng(3).standard_normal(2000).cumsum())
+        from_1 = EstimationConfig(q_grid=(1.0, 2.0), tau_min=1, tau_max_range=(8, 16))
+        from_4 = dataclasses.replace(from_1, tau_min=4)
+        wide = covariance_grid(walk, walk, from_1)
+        narrow = covariance_grid(walk, walk, from_4)
+        assert wide.tau_values[0] == 1 and narrow.tau_values[0] == 4
+        assert jackknife_hurst(wide, 2.0, from_4) == jackknife_hurst(narrow, 2.0, from_4)
+        assert jackknife_hurst(wide, 2.0, from_4) != jackknife_hurst(wide, 2.0, from_1)
 
     def test_fit_error_names_tau_max(self):
         cfg = EstimationConfig(q_grid=(1.0,), tau_max_range=(4, 8))
@@ -514,6 +532,23 @@ class TestCurve:
         assert curve.estimates == ()
         assert [q for q, _ in curve.failures] == [1.0, 2.0]
         assert "degenerate" in curve.failures[0][1].lower() or "0" in curve.failures[0][1]
+
+    def test_one_result_per_grid_q(self):
+        cfg = EstimationConfig(q_grid=(1.0, 2.0, 3.0), tau_max_range=(4, 8))
+        k = np.ones((3, 8))
+        k[1, 2] = 0.0  # q = 2 is degenerate from tau = 3 on
+        curve = hurst_curve_from_grid(HeightCovarianceGrid(cfg.q_grid, range(1, 9), k,
+                                                           "x", "y", cfg))
+        assert curve.q_values == cfg.q_grid
+        assert len(curve.results) == 3
+        assert [e.q for e in curve.estimates] == [1.0, 3.0]
+        assert curve.results[0] is curve.estimates[0]
+        assert curve.results[2] is curve.estimates[1]
+        assert curve.failures == ((2.0, curve.results[1]),)
+        assert curve.results[1].startswith("tau_max=4: K(q=2, tau=3) = 0")
+        for name in ("estimates", "failures"):
+            with pytest.raises(AttributeError):
+                setattr(curve, name, ())
 
     def test_clean_series_has_no_failures(self):
         rng = np.random.default_rng(2)

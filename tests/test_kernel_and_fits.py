@@ -378,12 +378,13 @@ def test_failure_notes_are_unchanged():
         (2.0, "confidence interval undefined for a single tau_max; widen tau_max_range"),)
 
 
-def test_q_off_the_grid_fails_in_the_first_window():
+def test_a_curve_covers_the_grid_q_and_an_off_grid_q_is_rejected():
     cfg = EstimationConfig(q_grid=(1.0, 3.0), tau_max_range=(4, 8))
     grid = HeightCovarianceGrid((1.0,), range(1, 9), np.ones((1, 8)), "x", "y", cfg)
     curve = hurst_curve_from_grid(grid)
-    assert [e.q for e in curve.estimates] == [1.0]
-    assert curve.failures == ((3.0, "tau_max=4: q=3.0 is not on the grid"),)
+    assert curve.q_values == grid.q_values
+    with pytest.raises(ParameterError, match=r"^q=3.0 is not on the grid$"):
+        jackknife_hurst(grid, 3.0, cfg)
 
 
 def test_t_quantile_equals_scipy_stats():

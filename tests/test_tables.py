@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfhxa import (
     EstimationConfig,
+    ParameterError,
     TimeSeries,
     covariance_grid,
     fit_hurst_single,
@@ -11,7 +14,7 @@ from mfhxa import (
     scaling_decomposition,
 )
 from mfhxa.csvio import format_number
-from mfhxa.tables import write_curve, write_decomposition, write_grid
+from mfhxa.tables import write_curve, write_decomposition, write_grid, write_pair_curves
 
 
 @pytest.fixture
@@ -62,6 +65,22 @@ def test_curve_table_has_interval_columns(tmp_path, walk_pair):
         assert float(row[2]) <= float(row[1]) <= float(row[3])
         assert int(row[4]) == 16
         assert row[5] == "ok"
+
+
+def test_pair_curves_must_share_one_q_grid(tmp_path, walk_pair):
+    x, y = walk_pair
+    cfg = EstimationConfig(q_grid=(1.0, 2.0), tau_max_range=(5, 20))
+    moments = pair_moments(x, y, cfg)
+    xy, xx, yy = (hurst_curve_from_grid(moments.grid(w)) for w in ("xy", "xx", "yy"))
+    other = hurst_curve_from_grid(covariance_grid(y, y, dataclasses.replace(cfg, q_grid=(1.0,))))
+    out = tmp_path / "pair.tsv"
+    for curves in ((xy, xx, other), (other, xx, yy)):
+        with pytest.raises(ParameterError, match="must share one q grid"):
+            write_pair_curves(out, *curves)
+    assert not out.exists()
+    write_pair_curves(out, xy, xx, yy)
+    _, header, rows = parse(out)
+    assert [float(r[0]) for r in rows] == [1.0, 2.0]
 
 
 def test_decomposition_table_layout(tmp_path, walk_pair):
