@@ -30,11 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .errors import (
     ConfidenceUndefinedError,
@@ -46,17 +44,9 @@ from .errors import (
     MfhxaError,
     ParameterError,
 )
-from .series import TimeSeries
+from .series import TimeSeries, _integer
 
 FILTERS = ("none", "constant", "linear")
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; a float or other non-integer raises ParameterError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -255,8 +245,9 @@ class HeightCovarianceGrid:
         return self.k_matrix[self.q_index(q)]
 
     def value(self, q: float, tau: int) -> float:
+        tau = _integer("tau", tau)
         try:
-            j = self.tau_values.index(int(tau))
+            j = self.tau_values.index(tau)
         except ValueError:
             raise ParameterError(f"tau={tau} is not on the grid") from None
         return float(self.k_matrix[self.q_index(q), j])
@@ -509,13 +500,19 @@ class HurstEstimate:
 
 
 def student_t_quantile(p: float, dof: int) -> float:
-    """Quantile of Student's t distribution with `dof` degrees of freedom."""
+    """Quantile of Student's t distribution with `dof` degrees of freedom.
+
+    scipy.special is imported here, not at module level, because it doubles
+    the start-up of every CLI command and only confidence intervals need it.
+    """
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie in (0, 1), got {p}")
     if dof < 1:
         raise ParameterError(f"dof must be >= 1, got {dof}")
     if p == 0.5:
         return 0.0
+    from scipy.special import stdtrit
+
     return float(stdtrit(dof, p))
 
 

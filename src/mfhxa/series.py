@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,14 @@ from .errors import (
     LagTooLargeError,
     ParameterError,
 )
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a float or other non-integer raises ParameterError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _finite_1d(values, what: str) -> np.ndarray:
@@ -117,6 +126,7 @@ def volume_relative_deviation(volumes: TimeSeries, window: int) -> TimeSeries:
     observations strictly before t. Removes slow (e.g. exponential) growth in
     raw traded volume. Output length is len(volumes) - window.
     """
+    window = _integer("window", window)
     if window < 1:
         raise ParameterError(f"window must be >= 1, got {window}")
     n = len(volumes)

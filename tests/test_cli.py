@@ -483,14 +483,43 @@ def test_market_demo_leaves_no_temporary_files(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_skips_scipy_stats():
-    # scipy.stats takes most of a cold start; the t quantile comes from scipy.special
+def fresh_interpreter(script, *argv):
+    """stdout of `python -c script argv...` in a new process that imports this mfhxa."""
     src = str(Path(mfhxa.__file__).resolve().parents[1])
-    probe = "import sys, mfhxa.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout.strip()
+
+
+def test_cli_import_skips_scipy_submodules():
+    # scipy.special (the t quantile) loads on the first interval; scipy.stats is
+    # not used; the generators' FFTs come from numpy.fft, which numpy loads anyway
+    probe = ("import sys, mfhxa.cli; print([m for m in ('scipy.special', 'scipy.stats', "
+             "'scipy.fft', 'scipy.signal') if m in sys.modules])")
+    assert fresh_interpreter(probe) == "[]"
+
+
+def test_scipy_special_loads_with_the_first_interval(tmp_path):
+    probe = ("import sys; from mfhxa.cli import main; code = main(sys.argv[1:]); "
+             "print(code, 'scipy.special' in sys.modules)")
+    absret, voldev = tmp_path / "absret.csv", tmp_path / "voldev.csv"
+    # commands that compute no interval never load it
+    assert fresh_interpreter(probe, "transform", "abs-returns", "--in",
+                             FIXTURES / "market_prices.csv", "--out", absret) == "0 False"
+    assert fresh_interpreter(probe, "generate", "arfima", "d=0.3", "length=100", "seed=1",
+                             "--out", tmp_path / "arfima.csv") == "0 False"
+    assert main(["transform", "volume-deviation", "window=500", "--in",
+                 str(FIXTURES / "market_volumes.csv"), "--out", str(voldev)]) == 0
+    # estimate computes intervals, so it loads it
+    assert fresh_interpreter(probe, "estimate", "preset=real", "input=increments",
+                             "--in", absret, "--in", voldev,
+                             "--out", tmp_path / "market") == "0 True"
+    # the first quantile in a process is the same stdtrit value, bit for bit
+    quantile = ("import sys; from mfhxa.estimator import student_t_quantile; "
+                "first = 'scipy.special' not in sys.modules; t = student_t_quantile(0.995, 5); "
+                "import scipy.special; print(first, t.hex() == float(scipy.special.stdtrit(5, 0.995)).hex())")
+    assert fresh_interpreter(quantile) == "True True"
 
 
 def test_cli_imports_only_public_library_names():
@@ -500,17 +529,6 @@ def test_cli_imports_only_public_library_names():
                 and node.level > 0 for alias in node.names]
     assert "pair_moments" in imported and "write_decomposition" in imported
     assert [n for n in imported if n.startswith("_") and not n.startswith("__")] == []
-
-
-def test_cli_import_skips_scipy_fft_and_signal():
-    # the generators' FFTs come from numpy.fft, which numpy loads anyway
-    src = str(Path(mfhxa.__file__).resolve().parents[1])
-    probe = ("import sys, mfhxa.cli; "
-             "print('scipy.fft' in sys.modules, 'scipy.signal' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False False"
 
 
 def test_short_header_exits_2_with_its_line_number(tmp_path, capsys):

@@ -253,6 +253,15 @@ class TestCovarianceGrid:
                     height_covariance(x, y, q, tau, "constant"), rel=1e-8
                 )
 
+    def test_value_takes_only_an_integer_tau(self):
+        x = series(np.cumsum(np.random.default_rng(3).standard_normal(500)))
+        cfg = EstimationConfig(q_grid=(2.0,), tau_max_range=(5, 5))
+        g = covariance_grid(x, x, cfg)
+        for tau in (2.5, "3"):
+            with pytest.raises(ParameterError, match="^tau must be an integer, got "):
+                g.value(2.0, tau)
+        assert g.value(2.0, np.int64(3)) == g.value(2.0, 3) == float(g.k_matrix[0, 2])
+
     def test_max_tau_exceeds_length(self):
         cfg = EstimationConfig(q_grid=(1.0,), tau_max_range=(5, 50))
         with pytest.raises(LagTooLargeError):

@@ -159,6 +159,13 @@ class TestVolumeRelativeDeviation:
         with pytest.raises(ParameterError):
             volume_relative_deviation(TimeSeries([1.0, 2.0, 3.0], "v"), 0)
 
+    def test_window_must_be_an_integer(self):
+        v = TimeSeries([1.0, 2.0, 3.0, 4.0], "v")
+        with pytest.raises(ParameterError, match="^window must be an integer, got 2.5$"):
+            volume_relative_deviation(v, 2.5)
+        assert volume_relative_deviation(v, np.int64(2)).values.tolist() == \
+            volume_relative_deviation(v, 2).values.tolist()
+
 
 def test_subsample_keeps_every_nth():
     s = TimeSeries(np.arange(10.0), "s")
