@@ -518,7 +518,8 @@ def test_scipy_special_loads_with_the_first_interval(tmp_path):
     # the first quantile in a process is the same stdtrit value, bit for bit
     quantile = ("import sys; from mfhxa.estimator import student_t_quantile; "
                 "first = 'scipy.special' not in sys.modules; t = student_t_quantile(0.995, 5); "
-                "import scipy.special; print(first, t.hex() == float(scipy.special.stdtrit(5, 0.995)).hex())")
+                "import scipy.special; ref = float(scipy.special.stdtrit(5, 0.995)); "
+                "print(first, t.hex() == ref.hex())")
     assert fresh_interpreter(quantile) == "True True"
 
 
