@@ -31,8 +31,6 @@ from .estimator import (
     FILTERS,
     Q_STEP,
     EstimationConfig,
-    covariance_grid,
-    hurst_curve_from_grid,
     pair_moments,
     q_range,
     real_preset,
@@ -57,7 +55,8 @@ from .series import (
 )
 from .tables import write_curve, write_decomposition, write_grid, write_pair_curves
 
-GENERATORS = ("mbm", "arfima", "arfima-pair", "two-component")
+GENERATORS = {"mbm": MbmConfig, "arfima": ArfimaConfig, "arfima-pair": ArfimaConfig,
+              "two-component": TwoComponentConfig}
 TRANSFORMS = ("log-returns", "abs-returns", "volume-deviation")
 FIGURES = (
     "fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f", "fig1g", "fig1h",
@@ -79,68 +78,47 @@ class Params:
             self.raw[key] = value
         self.used: set[str] = set()
 
-    def _take(self, key: str):
-        self.used.add(key)
-        return self.raw.get(key)
+    def _read(self, key: str, default, parse, what: str, env: str | None = None):
+        """parse(value of key), falling back to the env variable, then to default.
 
-    def string(self, key: str, default: str | None = None, choices=None) -> str:
-        v = self._take(key)
-        if v is None:
+        Without a value or a default the key is missing; a value that parse
+        rejects with ValueError is reported as f"{key}={value!r} {what}".
+        """
+        self.used.add(key)
+        text = self.raw.get(key)
+        if text is None and env is not None:
+            text = os.environ.get(env)
+        if text is None:
             if default is None:
-                raise ParameterError(f"missing required parameter {key!r}")
-            v = default
-        if choices and v not in choices:
-            raise ParameterError(
-                f"{key}={v!r} invalid; expected one of {', '.join(choices)}"
-            )
-        return v
+                hint = f" (or set {env})" if env else ""
+                raise ParameterError(f"missing required parameter {key!r}{hint}")
+            return default
+        try:
+            return parse(text)
+        except ValueError:
+            raise ParameterError(f"{key}={text!r} {what}") from None
+
+    def string(self, key: str, default: str | None, choices: tuple[str, ...]) -> str:
+        def choice(text: str) -> str:
+            if text not in choices:
+                raise ValueError(text)
+            return text
+        return self._read(key, default, choice, f"invalid; expected one of {', '.join(choices)}")
 
     def number(self, key: str, default: float | None = None) -> float:
-        v = self._take(key)
-        if v is None:
-            if default is None:
-                raise ParameterError(f"missing required parameter {key!r}")
-            return default
-        try:
-            return float(v)
-        except ValueError:
-            raise ParameterError(f"{key}={v!r} is not a number") from None
+        return self._read(key, default, float, "is not a number")
 
     def integer(self, key: str, default: int | None = None) -> int:
-        v = self._take(key)
-        if v is None:
-            if default is None:
-                raise ParameterError(f"missing required parameter {key!r}")
-            return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ParameterError(f"{key}={v!r} is not an integer") from None
+        return self._read(key, default, int, "is not an integer")
 
     def tau_range(self, key: str, default: tuple[int, int]) -> tuple[int, int]:
-        v = self._take(key)
-        if v is None:
-            return default
-        try:
-            if ".." in v:
-                lo, hi = v.split("..", 1)
-                return int(lo), int(hi)
-            return int(v), int(v)
-        except ValueError:
-            raise ParameterError(f"{key}={v!r} is not N or LO..HI") from None
+        def span(text: str) -> tuple[int, int]:
+            lo, dots, hi = text.partition("..")
+            return (int(lo), int(hi)) if dots else (int(text), int(text))
+        return self._read(key, default, span, "is not N or LO..HI")
 
-    def seed(self, key: str = "seed") -> int:
-        v = self._take(key)
-        if v is None:
-            v = os.environ.get("MFHXA_SEED")
-        if v is None:
-            raise ParameterError(
-                "missing required parameter 'seed' (or set MFHXA_SEED)"
-            )
-        try:
-            return int(v)
-        except ValueError:
-            raise ParameterError(f"seed={v!r} is not an integer") from None
+    def seed(self) -> int:
+        return self._read("seed", None, int, "is not an integer", env="MFHXA_SEED")
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.raw) - self.used)
@@ -189,10 +167,6 @@ def _require_inputs(inputs, lo: int, hi: int) -> list[Path]:
 
 # ---------------------------------------------------------------- generate
 
-GENERATOR_CONFIGS = {"mbm": MbmConfig, "arfima": ArfimaConfig,
-                     "two-component": TwoComponentConfig}
-
-
 def _config_from_params(cls, params: Params, **given):
     """cls built from one key per dataclass field, in field order.
 
@@ -222,21 +196,16 @@ def _arfima_pair(config: ArfimaConfig, d_y: float, rho: float) -> tuple[TimeSeri
             generate_arfima(dataclasses.replace(config, d=d_y), noise=nu))
 
 
-def cmd_generate(name: str | None, params: Params, inputs, out) -> int:
-    if name is None or name not in GENERATORS:
-        raise ParameterError(
-            f"unknown generator {name!r}; expected one of {', '.join(GENERATORS)}"
-        )
+def cmd_generate(name: str, params: Params, inputs, out) -> int:
     out_path = _require_out(out)
     _require_inputs(inputs, 0, 0)
 
-    pair = {}
+    pair, given = {}, {}
     if name == "arfima-pair":
         # X takes d=d1; Y is the same config with d=d2, fed the correlated noise
         pair = {key: params.number(key) for key in ("d1", "d2", "rho")}
-        cfg = _config_from_params(ArfimaConfig, params, d=pair["d1"])
-    else:
-        cfg = _config_from_params(GENERATOR_CONFIGS[name], params)
+        given = {"d": pair["d1"]}
+    cfg = _config_from_params(GENERATORS[name], params, **given)
     params.reject_unknown()
     if name == "arfima-pair":
         series = _arfima_pair(cfg, pair["d2"], pair["rho"])
@@ -264,11 +233,7 @@ def cmd_generate(name: str | None, params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- transform
 
-def cmd_transform(name: str | None, params: Params, inputs, out) -> int:
-    if name is None or name not in TRANSFORMS:
-        raise ParameterError(
-            f"unknown transform {name!r}; expected one of {', '.join(TRANSFORMS)}"
-        )
+def cmd_transform(name: str, params: Params, inputs, out) -> int:
     out_path = _require_out(out)
     (in_path,) = _require_inputs(inputs, 1, 1)
     column = params.integer("col", 1)
@@ -313,17 +278,7 @@ def _read_pair(paths: list[Path], x_col: int, y_col: int, mode: str):
     return series[0], series[-1]
 
 
-def _write_pair_curves(path, x: TimeSeries, y: TimeSeries, config: EstimationConfig,
-                       comments: list[str]):
-    """Write the joint and univariate curves of a pair; return its K_xy grid and joint curve."""
-    moments = pair_moments(x, y, config)
-    grid = moments.grid("xy")
-    xy, xx, yy = (hurst_curve_from_grid(g) for g in (grid, moments.grid("xx"), moments.grid("yy")))
-    write_pair_curves(path, xy, xx, yy, comments)
-    return grid, xy
-
-
-def cmd_estimate(params: Params, inputs, out) -> int:
+def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
     out_prefix = _require_out(out)
     preset = params.string("preset", "synthetic", choices=("synthetic", "real"))
     y_key = params.string("y", "", choices=("", "self"))
@@ -352,15 +307,15 @@ def cmd_estimate(params: Params, inputs, out) -> int:
     meta = {"preset": preset, "input": mode, "pair": "self" if self_pair else "xy"}
     comments = manifest("estimate", meta, paths)
 
+    moments = pair_moments(x, y, config)
+    curves = moments.curves()
     if self_pair:
-        grid = covariance_grid(x, x, config)
-        curve = hurst_curve_from_grid(grid)
-        write_curve(f"{out_prefix}.curve.tsv", curve, comments)
+        write_curve(f"{out_prefix}.curve.tsv", curves[0], comments)
     else:
-        grid, curve = _write_pair_curves(f"{out_prefix}.curve.tsv", x, y, config, comments)
-    write_grid(f"{out_prefix}.grid.tsv", grid, comments)
+        write_pair_curves(f"{out_prefix}.curve.tsv", *curves, comments)
+    write_grid(f"{out_prefix}.grid.tsv", moments.grid("xy"), comments)
 
-    if not curve.estimates:
+    if not curves[0].estimates:
         print("mfhxa: estimate: no q could be estimated; see the note column",
               file=sys.stderr)
         return 1
@@ -369,7 +324,7 @@ def cmd_estimate(params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- decompose
 
-def cmd_decompose(params: Params, inputs, out) -> int:
+def cmd_decompose(_name: None, params: Params, inputs, out) -> int:
     out_path = _require_out(out)
     q = params.number("q")
     tau_min = params.integer("tau_min", EstimationConfig.tau_min)
@@ -437,11 +392,7 @@ def _panel_pairs(figure: str, seed):
         yield ("", *_mbm_pair(), {"process": "mbm", "m0_x": 0.3, "m0_y": 0.4, "k": 16})
 
 
-def cmd_replicate(figure: str | None, params: Params, inputs, out) -> int:
-    if figure is None or figure not in FIGURES:
-        raise ParameterError(
-            f"unknown figure id {figure!r}; expected one of {', '.join(FIGURES)}"
-        )
+def cmd_replicate(figure: str, params: Params, inputs, out) -> int:
     outdir = _require_out(out)
     _require_inputs(inputs, 0, 0)
     needs_seed = figure not in ("fig1a", "fig2a")
@@ -451,8 +402,8 @@ def cmd_replicate(figure: str | None, params: Params, inputs, out) -> int:
     for suffix, x, y, meta in _panel_pairs(figure, seed):
         comments = manifest(f"replicate {figure}", meta, [])
         if figure.startswith("fig1"):
-            _write_pair_curves(outdir / f"{figure}_curves.tsv", x, y, synthetic_preset(),
-                               comments)
+            write_pair_curves(outdir / f"{figure}_curves.tsv",
+                              *pair_moments(x, y, synthetic_preset()).curves(), comments)
         else:
             write_decomposition(outdir / f"{figure}{suffix}_decomposition.tsv",
                                 pair_moments(x, y, FIG2_CONFIG, split=True), comments)
@@ -460,6 +411,23 @@ def cmd_replicate(figure: str | None, params: Params, inputs, out) -> int:
 
 
 # ---------------------------------------------------------------- entry point
+
+# command -> (handler, what its first token names, the names it may take, help text);
+# a handler is called as handler(name, params, inputs, out), with name None for
+# a command that takes no name
+COMMANDS = {
+    "generate": (cmd_generate, "generator", GENERATORS,
+                 "write a simulated process to CSV (mbm, arfima, arfima-pair, two-component)"),
+    "transform": (cmd_transform, "transform", TRANSFORMS,
+                  "apply log-returns, abs-returns, or volume-deviation to a CSV column"),
+    "estimate": (cmd_estimate, None, (),
+                 "estimate generalized Hurst curves (curve + grid tables)"),
+    "decompose": (cmd_decompose, None, (),
+                  "split the scaling function into product and covariance parts"),
+    "replicate": (cmd_replicate, "figure id", FIGURES,
+                  "run a named synthetic analysis (fig1a..fig1h, fig2a..fig2d)"),
+}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -473,15 +441,8 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version",
                         version=f"mfhxa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "generate": "write a simulated process to CSV (mbm, arfima, arfima-pair, two-component)",
-        "transform": "apply log-returns, abs-returns, or volume-deviation to a CSV column",
-        "estimate": "estimate generalized Hurst curves (curve + grid tables)",
-        "decompose": "split the scaling function into product and covariance parts",
-        "replicate": "run a named synthetic analysis (fig1a..fig1h, fig2a..fig2d)",
-    }
-    for name, help_text in specs.items():
-        sp = sub.add_parser(name, help=help_text)
+    for command, (*_, help_text) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("tokens", nargs="*", metavar="key=value",
                         help="name (for generate/transform/replicate) and parameters")
         sp.add_argument("--in", dest="inputs", action="append", default=[],
@@ -490,26 +451,15 @@ def main(argv=None) -> int:
                         help="output file, prefix, or directory")
     args = parser.parse_args(argv)
 
+    run, noun, names, _ = COMMANDS[args.command]
     tokens = list(args.tokens)
-    name = None
-    if args.command in ("generate", "transform", "replicate"):
-        if tokens and "=" not in tokens[0]:
-            name = tokens.pop(0)
+    name = tokens.pop(0) if names and tokens and "=" not in tokens[0] else None
     try:
         params = Params(tokens)
-        if args.command == "generate":
-            return cmd_generate(name, params, args.inputs, args.out)
-        if args.command == "transform":
-            return cmd_transform(name, params, args.inputs, args.out)
-        if args.command == "estimate":
-            return cmd_estimate(params, args.inputs, args.out)
-        if args.command == "decompose":
-            return cmd_decompose(params, args.inputs, args.out)
-        return cmd_replicate(name, params, args.inputs, args.out)
-    except MfhxaError as exc:
-        print(f"mfhxa: {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if names and name not in names:
+            raise ParameterError(f"unknown {noun} {name!r}; expected one of {', '.join(names)}")
+        return run(name, params, args.inputs, args.out)
+    except (MfhxaError, OSError) as exc:
         print(f"mfhxa: {args.command}: {exc}", file=sys.stderr)
         return 2
 

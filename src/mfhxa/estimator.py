@@ -199,6 +199,7 @@ def height_covariance(
     """
     if not 0 < q < math.inf:
         raise ParameterError(f"q must be finite and > 0, got {q}")
+    tau = _integer("tau", tau)
     _check_pair(x, y, tau)
     dx = _filtered_increments(x.values, tau, filter)
     dy = _filtered_increments(y.values, tau, filter)
@@ -334,6 +335,11 @@ class PairMoments:
                    "yy": (self.k_yy, self.y, self.y)}[which]
         return HeightCovarianceGrid(self.config.q_grid, tuple(self.config.taus), k,
                                     a.label, b.label, self.config)
+
+    def curves(self) -> tuple[GeneralizedHurstCurve, GeneralizedHurstCurve,
+                              GeneralizedHurstCurve]:
+        """The curves H_xy, H_x and H_y, one `hurst_curve_from_grid` per grid."""
+        return tuple(hurst_curve_from_grid(self.grid(w)) for w in ("xy", "xx", "yy"))
 
     def decomposition(self) -> ScalingDecomposition:
         """The ScalingDecomposition of a split pass at a single q.

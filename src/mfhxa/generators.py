@@ -29,12 +29,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .series import TimeSeries
+from .series import TimeSeries, _integer
 
 DEFAULT_TRUNCATION = 10_000
 DEFAULT_BURN_IN = 2_000
 
 MAX_CASCADE_STAGES = 30
+
+
+def _integer_fields(config, *names: str) -> None:
+    """Store each named field of a frozen config as an int; a seed must be >= 0.
+
+    A float or other non-integer raises ParameterError, as in EstimationConfig.
+    """
+    for name in names:
+        object.__setattr__(config, name, _integer(name, getattr(config, name)))
+    if "seed" in names and config.seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {config.seed}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +56,7 @@ class MbmConfig:
     k: int
 
     def __post_init__(self):
+        _integer_fields(self, "k")
         if not 0.0 < self.m0 < 1.0:
             raise ParameterError(f"m0 must lie in (0, 1), got {self.m0}")
         if not 1 <= self.k <= MAX_CASCADE_STAGES:
@@ -64,6 +76,7 @@ class ArfimaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "length", "truncation", "burn_in", "seed")
         if not 0.0 < self.d < 0.5:
             raise ParameterError(f"d must lie in (0, 0.5), got {self.d}")
         if self.length < 1:
@@ -83,6 +96,7 @@ class NoisePairConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "length", "seed")
         if not -1.0 <= self.rho <= 1.0:
             raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
         if self.length < 1:
@@ -102,6 +116,7 @@ class TwoComponentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _integer_fields(self, "length", "burn_in", "truncation", "seed")
         for name, d in (("d1", self.d1), ("d2", self.d2)):
             if not 0.0 < d < 0.5:
                 raise ParameterError(f"{name} must lie in (0, 0.5), got {d}")

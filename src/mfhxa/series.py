@@ -76,6 +76,7 @@ class IncrementSeries:
 
 def tau_increments(series: TimeSeries, tau: int) -> IncrementSeries:
     """Differences x[t+tau] - x[t] over all valid t (length shrinks by tau)."""
+    tau = _integer("tau", tau)
     n = len(series)
     if tau < 1 or tau > n - 1:
         raise LagTooLargeError(
@@ -88,6 +89,7 @@ def tau_increments(series: TimeSeries, tau: int) -> IncrementSeries:
 
 def subsample(series: TimeSeries, step: int) -> TimeSeries:
     """Keep every step-th observation, starting from the first."""
+    step = _integer("step", step)
     if step < 1:
         raise ParameterError(f"step must be >= 1, got {step}")
     return TimeSeries(series.values[::step], series.label)

@@ -140,6 +140,64 @@ class TestGenerate:
         assert strip_timestamp(out1) == strip_timestamp(out2)
 
 
+ARFIMA = ["generate", "arfima", "d=0.3", "length=100"]
+GENERATOR_NAMES = "mbm, arfima, arfima-pair, two-component"
+TRANSFORM_NAMES = "log-returns, abs-returns, volume-deviation"
+FIGURE_NAMES = ("fig1a, fig1b, fig1c, fig1d, fig1e, fig1f, fig1g, fig1h, "
+                "fig2a, fig2b, fig2c, fig2d")
+
+
+@pytest.mark.parametrize("argv, env_seed, line", [
+    (["generate", "arfima", "d=x", "length=100", "seed=1"], None,
+     "generate: d='x' is not a number"),
+    (["generate", "arfima", "d=0.3", "length=1.5", "seed=1"], None,
+     "generate: length='1.5' is not an integer"),
+    (["estimate", "tau_max=5.."], None, "estimate: tau_max='5..' is not N or LO..HI"),
+    (["estimate", "tau_max=..5"], None, "estimate: tau_max='..5' is not N or LO..HI"),
+    (["estimate", "tau_max=5..x"], None, "estimate: tau_max='5..x' is not N or LO..HI"),
+    (["estimate", "preset=fast"], None,
+     "estimate: preset='fast' invalid; expected one of synthetic, real"),
+    (["generate", "arfima", "length=100", "seed=1"], None,
+     "generate: missing required parameter 'd'"),
+    (ARFIMA, None, "generate: missing required parameter 'seed' (or set MFHXA_SEED)"),
+    (ARFIMA, "x", "generate: seed='x' is not an integer"),
+    (ARFIMA + ["seed=1.5"], None, "generate: seed='1.5' is not an integer"),
+    (ARFIMA + ["seed=1", "bogus=2", "alpha=3"], None,
+     "generate: unknown parameter key(s): alpha, bogus"),
+    (ARFIMA + ["d=0.2"], None, "generate: bad or repeated parameter key 'd'"),
+    (ARFIMA + ["=3"], None, "generate: bad or repeated parameter key ''"),
+    (["estimate", "oops"], None, "estimate: expected key=value, got 'oops'"),
+    (["generate", "brownian"], None,
+     f"generate: unknown generator 'brownian'; expected one of {GENERATOR_NAMES}"),
+    (["generate", "d=0.3"], None,
+     f"generate: unknown generator None; expected one of {GENERATOR_NAMES}"),
+    (["transform", "sqrt"], None,
+     f"transform: unknown transform 'sqrt'; expected one of {TRANSFORM_NAMES}"),
+    (["transform"], None,
+     f"transform: unknown transform None; expected one of {TRANSFORM_NAMES}"),
+    (["replicate", "fig3"], None,
+     f"replicate: unknown figure id 'fig3'; expected one of {FIGURE_NAMES}"),
+    (["replicate"], None,
+     f"replicate: unknown figure id None; expected one of {FIGURE_NAMES}"),
+    # a negative seed is refused by the generator configs, not by numpy
+    (ARFIMA + ["seed=-1"], None, "generate: seed must be >= 0, got -1"),
+    (ARFIMA, "-1", "generate: seed must be >= 0, got -1"),
+    (["generate", "arfima-pair", "d1=0.3", "d2=0.1", "rho=0.5", "length=100", "seed=-2"],
+     None, "generate: seed must be >= 0, got -2"),
+    (["generate", "two-component", "d1=0.3", "d2=0.3", "w=0.75", "length=100", "seed=-1"],
+     None, "generate: seed must be >= 0, got -1"),
+    (["replicate", "fig1b", "seed=-3"], None, "replicate: seed must be >= 0, got -3"),
+])
+def test_parameter_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
+                                               env_seed, line):
+    if env_seed is None:
+        monkeypatch.delenv("MFHXA_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MFHXA_SEED", env_seed)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"mfhxa: {line}\n"
+
+
 class TestTransform:
     def test_abs_returns_constant_prices(self, tmp_path):
         src = tmp_path / "p.csv"

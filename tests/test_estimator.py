@@ -185,6 +185,12 @@ class TestHeightCovariance:
         with pytest.raises(LagTooLargeError):
             height_covariance(series([1, 2, 3]), series([1, 2, 3]), 2, 3)
 
+    def test_tau_must_be_an_integer(self):
+        x = series([0, 1, 3, 2, 5, 4])
+        with pytest.raises(ParameterError, match="^tau must be an integer, got 2.5$"):
+            height_covariance(x, x, 2.0, 2.5)
+        assert height_covariance(x, x, 2.0, np.int64(2)) == height_covariance(x, x, 2.0, 2)
+
     def test_reduction_to_univariate(self):
         rng = np.random.default_rng(5)
         x = series(rng.standard_normal(40))

@@ -203,3 +203,40 @@ class TestGenerateTwoComponent:
     def test_parameter_errors(self, kwargs):
         with pytest.raises(ParameterError):
             TwoComponentConfig(**kwargs)
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ArfimaConfig(d=0.3, length=100.5), "length must be an integer, got 100.5"),
+        (lambda: ArfimaConfig(d=0.3, length=100, burn_in=10.5),
+         "burn_in must be an integer, got 10.5"),
+        (lambda: ArfimaConfig(d=0.3, length=100, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: MbmConfig(m0=0.3, k=2.5), "k must be an integer, got 2.5"),
+        (lambda: NoisePairConfig(rho=0.5, length="10"), "length must be an integer, got '10'"),
+        (lambda: TwoComponentConfig(d1=0.3, d2=0.3, w=0.75, length=100, truncation=50.5),
+         "truncation must be an integer, got 50.5"),
+        (lambda: ArfimaConfig(d=0.3, length=100, seed=-1), "seed must be >= 0, got -1"),
+        (lambda: NoisePairConfig(rho=0.5, length=10, seed=-2), "seed must be >= 0, got -2"),
+        (lambda: TwoComponentConfig(d1=0.3, d2=0.3, w=0.75, length=100, seed=-3),
+         "seed must be >= 0, got -3"),
+    ])
+    def test_non_integer_or_negative_seed_is_a_parameter_error(self, build, message):
+        with pytest.raises(ParameterError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_numpy_integers_give_the_same_series(self):
+        plain = ArfimaConfig(d=0.3, length=200, truncation=80, burn_in=20, seed=5)
+        numpy_ints = ArfimaConfig(d=0.3, length=np.int64(200), truncation=np.int32(80),
+                                  burn_in=np.int64(20), seed=np.uint32(5))
+        assert numpy_ints == plain and type(numpy_ints.seed) is int
+        assert np.array_equal(generate_arfima(numpy_ints).values, generate_arfima(plain).values)
+        numpy_pair = TwoComponentConfig(d1=0.3, d2=0.2, w=0.7, length=np.int64(150),
+                                        burn_in=np.int64(10), truncation=np.int64(60),
+                                        seed=np.int64(4))
+        want = generate_two_component(TwoComponentConfig(d1=0.3, d2=0.2, w=0.7, length=150,
+                                                         burn_in=10, truncation=60, seed=4))
+        got = generate_two_component(numpy_pair)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+        assert np.array_equal(generate_mbm(MbmConfig(0.3, np.int64(5))).values,
+                              generate_mbm(MbmConfig(0.3, 5)).values)

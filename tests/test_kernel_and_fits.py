@@ -439,6 +439,20 @@ def test_self_pair_gives_the_univariate_curve(seed, rho, name):
     assert cross_persistence_verdict(x, y, q, cfg).h_x == v.h_x
 
 
+@pytest.mark.parametrize("self_pair", [False, True])
+@pytest.mark.parametrize("name", sorted(PROPERTY_CONFIGS))
+def test_pair_curves_are_the_curves_of_the_three_grids(name, self_pair):
+    cfg = PROPERTY_CONFIGS[name]
+    x, y = walk_pair(9, 0.5)
+    moments = pair_moments(x, x if self_pair else y, cfg)
+    want = tuple(hurst_curve_from_grid(moments.grid(w)) for w in ("xy", "xx", "yy"))
+    got = moments.curves()
+    assert got == want
+    assert [c.estimates for c in got] == [c.estimates for c in want] != [(), (), ()]
+    assert [(c.x_label, c.y_label) for c in got] == (
+        [("x", "x")] * 3 if self_pair else [("x", "y"), ("x", "x"), ("y", "y")])
+
+
 @given(seed=seeds, rho=rhos, name=config_names,
        log10_c=st.floats(min_value=-3.0, max_value=3.0), scaled=st.sampled_from("xy"))
 @settings(max_examples=30)

@@ -174,6 +174,16 @@ def test_subsample_keeps_every_nth():
         subsample(s, 0)
 
 
+def test_lag_and_step_must_be_integers():
+    s = TimeSeries(np.arange(10.0), "s")
+    with pytest.raises(ParameterError, match="^tau must be an integer, got 2.5$"):
+        tau_increments(s, 2.5)
+    with pytest.raises(ParameterError, match="^step must be an integer, got 2.5$"):
+        subsample(s, 2.5)
+    assert tau_increments(s, np.int64(2)).values.tolist() == [2.0] * 8
+    assert subsample(s, np.int64(3)).values.tolist() == [0.0, 3.0, 6.0, 9.0]
+
+
 def test_accumulate_is_running_sum():
     s = TimeSeries([1.0, 2.0, 3.0], "s")
     assert accumulate(s).values.tolist() == [1.0, 3.0, 6.0]
