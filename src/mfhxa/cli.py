@@ -271,8 +271,13 @@ def cmd_transform(name: str, params: Params, inputs, out) -> int:
 # ---------------------------------------------------------------- estimate
 
 def _read_pair(paths: list[Path], x_col: int, y_col: int, mode: str):
-    """X from the first input and Y from the second; Y is X for one input."""
-    series = [read_series(path, col) for path, col in zip(paths, (x_col, y_col))]
+    """X from column x_col of the first input, Y from column y_col of the last.
+
+    With one input and y_col == x_col the pair is a self-pair: the column is
+    read once and returned as both X and Y.
+    """
+    cols = (x_col,) if len(paths) == 1 and y_col == x_col else (x_col, y_col)
+    series = [read_series(path, col) for path, col in zip(paths * 2, cols)]
     if mode == "increments":
         series = [accumulate(s) for s in series]
     return series[0], series[-1]
@@ -281,10 +286,9 @@ def _read_pair(paths: list[Path], x_col: int, y_col: int, mode: str):
 def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
     out_prefix = _require_out(out)
     preset = params.string("preset", "synthetic", choices=("synthetic", "real"))
-    y_key = params.string("y", "", choices=("", "self"))
     mode = params.string("input", "levels", choices=("levels", "increments"))
     x_col = params.integer("x_col", 1)
-    y_col = params.integer("y_col", 1)
+    y_col = params.integer("y_col", x_col if len(inputs) == 1 else 1)
     base = synthetic_preset() if preset == "synthetic" else real_preset()
     config = dataclasses.replace(
         base,
@@ -300,10 +304,8 @@ def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
     params.reject_unknown()
 
     paths = _require_inputs(inputs, 1, 2)
-    self_pair = len(paths) == 1 or y_key == "self"
-    if self_pair and len(paths) == 2:
-        raise ParameterError("y=self given together with a second --in PATH")
     x, y = _read_pair(paths, x_col, y_col, mode)
+    self_pair = y is x
     meta = {"preset": preset, "input": mode, "pair": "self" if self_pair else "xy"}
     comments = manifest("estimate", meta, paths)
 
@@ -333,7 +335,7 @@ def cmd_decompose(_name: None, params: Params, inputs, out) -> int:
     min_fit_points = params.integer("min_fit_points", EstimationConfig.min_fit_points)
     mode = params.string("input", "levels", choices=("levels", "increments"))
     x_col = params.integer("x_col", 1)
-    y_col = params.integer("y_col", 1)
+    y_col = params.integer("y_col", x_col if len(inputs) == 1 else 1)
     params.reject_unknown()
     paths = _require_inputs(inputs, 1, 2)
     config = EstimationConfig(
@@ -398,8 +400,9 @@ def cmd_replicate(figure: str, params: Params, inputs, out) -> int:
     needs_seed = figure not in ("fig1a", "fig2a")
     seed = params.seed() if needs_seed else None
     params.reject_unknown()
+    pairs = list(_panel_pairs(figure, seed))  # a failing figure leaves no directory
     outdir.mkdir(parents=True, exist_ok=True)
-    for suffix, x, y, meta in _panel_pairs(figure, seed):
+    for suffix, x, y, meta in pairs:
         comments = manifest(f"replicate {figure}", meta, [])
         if figure.startswith("fig1"):
             write_pair_curves(outdir / f"{figure}_curves.tsv",

@@ -44,7 +44,7 @@ from .errors import (
     MfhxaError,
     ParameterError,
 )
-from .series import TimeSeries, _integer
+from .series import TimeSeries, _integer, _integer_fields
 
 FILTERS = ("none", "constant", "linear")
 
@@ -73,11 +73,7 @@ class EstimationConfig:
         object.__setattr__(self, "q_grid", qs)
         lo, hi = (_integer("tau_max_range end", v) for v in self.tau_max_range)
         object.__setattr__(self, "tau_max_range", (lo, hi))
-        object.__setattr__(self, "tau_min", _integer("tau_min", self.tau_min))
-        object.__setattr__(self, "min_fit_points",
-                           _integer("min_fit_points", self.min_fit_points))
-        if self.tau_min < 1:
-            raise ParameterError(f"tau_min must be >= 1, got {self.tau_min}")
+        _integer_fields(self, tau_min=1, min_fit_points=2)
         if lo > hi:
             raise ParameterError(f"tau_max_range {lo}..{hi} is empty")
         if self.tau_min > lo:
@@ -87,10 +83,6 @@ class EstimationConfig:
         if self.filter not in FILTERS:
             raise ParameterError(
                 f"filter must be one of {FILTERS}, got {self.filter!r}"
-            )
-        if self.min_fit_points < 2:
-            raise ParameterError(
-                f"min_fit_points must be >= 2, got {self.min_fit_points}"
             )
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError(
@@ -183,8 +175,6 @@ def _check_pair(x: TimeSeries, y: TimeSeries, max_tau: int) -> None:
             f"tau={max_tau} out of range for series of length {len(x)} "
             f"(valid: 1..{len(x) - 1})"
         )
-    if max_tau < 1:
-        raise ParameterError(f"tau must be >= 1, got {max_tau}")
 
 
 def height_covariance(
@@ -199,7 +189,7 @@ def height_covariance(
     """
     if not 0 < q < math.inf:
         raise ParameterError(f"q must be finite and > 0, got {q}")
-    tau = _integer("tau", tau)
+    tau = _integer("tau", tau, 1)
     _check_pair(x, y, tau)
     dx = _filtered_increments(x.values, tau, filter)
     dy = _filtered_increments(y.values, tau, filter)

@@ -29,23 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .series import TimeSeries, _integer
+from .series import TimeSeries, _integer, _integer_fields
 
 DEFAULT_TRUNCATION = 10_000
 DEFAULT_BURN_IN = 2_000
 
 MAX_CASCADE_STAGES = 30
-
-
-def _integer_fields(config, *names: str) -> None:
-    """Store each named field of a frozen config as an int; a seed must be >= 0.
-
-    A float or other non-integer raises ParameterError, as in EstimationConfig.
-    """
-    for name in names:
-        object.__setattr__(config, name, _integer(name, getattr(config, name)))
-    if "seed" in names and config.seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {config.seed}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +45,7 @@ class MbmConfig:
     k: int
 
     def __post_init__(self):
-        _integer_fields(self, "k")
+        _integer_fields(self, k=None)
         if not 0.0 < self.m0 < 1.0:
             raise ParameterError(f"m0 must lie in (0, 1), got {self.m0}")
         if not 1 <= self.k <= MAX_CASCADE_STAGES:
@@ -76,15 +65,9 @@ class ArfimaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self, "length", "truncation", "burn_in", "seed")
+        _integer_fields(self, length=1, truncation=1, burn_in=0, seed=0)
         if not 0.0 < self.d < 0.5:
             raise ParameterError(f"d must lie in (0, 0.5), got {self.d}")
-        if self.length < 1:
-            raise ParameterError(f"length must be >= 1, got {self.length}")
-        if self.truncation < 1:
-            raise ParameterError(f"truncation must be >= 1, got {self.truncation}")
-        if self.burn_in < 0:
-            raise ParameterError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +79,9 @@ class NoisePairConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self, "length", "seed")
+        _integer_fields(self, length=1, seed=0)
         if not -1.0 <= self.rho <= 1.0:
             raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.length < 1:
-            raise ParameterError(f"length must be >= 1, got {self.length}")
 
 
 @dataclass(frozen=True)
@@ -116,18 +97,12 @@ class TwoComponentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer_fields(self, "length", "burn_in", "truncation", "seed")
+        _integer_fields(self, length=1, burn_in=0, truncation=1, seed=0)
         for name, d in (("d1", self.d1), ("d2", self.d2)):
             if not 0.0 < d < 0.5:
                 raise ParameterError(f"{name} must lie in (0, 0.5), got {d}")
         if not 0.5 <= self.w <= 1.0:
             raise ParameterError(f"w must lie in [0.5, 1], got {self.w}")
-        if self.length < 1:
-            raise ParameterError(f"length must be >= 1, got {self.length}")
-        if self.truncation < 1:
-            raise ParameterError(f"truncation must be >= 1, got {self.truncation}")
-        if self.burn_in < 0:
-            raise ParameterError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
 def arfima_weights(d: float, max_lag: int) -> np.ndarray:
@@ -139,8 +114,7 @@ def arfima_weights(d: float, max_lag: int) -> np.ndarray:
     """
     if not 0.0 < d < 0.5:
         raise ParameterError(f"d must lie in (0, 0.5), got {d}")
-    if max_lag < 1:
-        raise ParameterError(f"max_lag must be >= 1, got {max_lag}")
+    max_lag = _integer("max_lag", max_lag, 1)
     i = np.arange(1, max_lag, dtype=float)
     return d * np.concatenate(([1.0], np.cumprod((i - d) / (i + 1.0))))
 

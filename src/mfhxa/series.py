@@ -15,12 +15,22 @@ from .errors import (
 )
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a float or other non-integer raises ParameterError."""
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int; a float or other non-integer, or an int below minimum
+    when one is given, raises ParameterError."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _integer_fields(obj, **minimums: int | None) -> None:
+    """Store each named field of a frozen dataclass as _integer(name, value, minimum)."""
+    for name, minimum in minimums.items():
+        object.__setattr__(obj, name, _integer(name, getattr(obj, name), minimum))
 
 
 def _finite_1d(values, what: str) -> np.ndarray:
@@ -64,8 +74,7 @@ class IncrementSeries:
     source_label: str = "series"
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ParameterError(f"tau must be >= 1, got {self.tau}")
+        _integer_fields(self, tau=1)
         arr = _finite_1d(self.values, f"increments of {self.source_label!r}").copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -89,9 +98,7 @@ def tau_increments(series: TimeSeries, tau: int) -> IncrementSeries:
 
 def subsample(series: TimeSeries, step: int) -> TimeSeries:
     """Keep every step-th observation, starting from the first."""
-    step = _integer("step", step)
-    if step < 1:
-        raise ParameterError(f"step must be >= 1, got {step}")
+    step = _integer("step", step, 1)
     return TimeSeries(series.values[::step], series.label)
 
 
@@ -128,9 +135,7 @@ def volume_relative_deviation(volumes: TimeSeries, window: int) -> TimeSeries:
     observations strictly before t. Removes slow (e.g. exponential) growth in
     raw traded volume. Output length is len(volumes) - window.
     """
-    window = _integer("window", window)
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
+    window = _integer("window", window, 1)
     n = len(volumes)
     if n <= window:
         raise InsufficientDataError(

@@ -187,6 +187,7 @@ FIGURE_NAMES = ("fig1a, fig1b, fig1c, fig1d, fig1e, fig1f, fig1g, fig1h, "
     (["generate", "two-component", "d1=0.3", "d2=0.3", "w=0.75", "length=100", "seed=-1"],
      None, "generate: seed must be >= 0, got -1"),
     (["replicate", "fig1b", "seed=-3"], None, "replicate: seed must be >= 0, got -3"),
+    (["estimate", "y=self"], None, "estimate: unknown parameter key(s): y"),
 ])
 def test_parameter_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
                                                env_seed, line):
@@ -196,6 +197,7 @@ def test_parameter_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, ar
         monkeypatch.setenv("MFHXA_SEED", env_seed)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"mfhxa: {line}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTransform:
@@ -468,19 +470,25 @@ class TestEstimateModes:
              if not l.startswith("#")]
         assert a == b
 
-    def test_explicit_y_self(self, tmp_path):
-        src = tmp_path / "x.csv"
-        write_levels_csv(src, np.arange(100.0))
-        assert main(["estimate", "y=self", "q_min=1", "q_max=2", "q_step=1",
-                     "tau_max=5..10", "filter=none", "--in", str(src),
-                     "--out", str(tmp_path / "o")]) == 0
+    def test_one_input_reads_y_col_from_the_same_file(self, tmp_path):
+        src = tmp_path / "pair.csv"
+        assert main(["generate", "arfima-pair", "d1=0.3", "d2=0.1", "rho=0.5", "length=400",
+                     "burn_in=50", "truncation=100", "seed=3", "--out", str(src)]) == 0
 
-    def test_y_self_with_second_input_is_error(self, tmp_path, capsys):
-        src = tmp_path / "x.csv"
-        write_levels_csv(src, np.arange(50.0))
-        code = main(["estimate", "y=self", "--in", str(src), "--in", str(src),
-                     "--out", str(tmp_path / "o")])
-        assert code != 0
+        def tables(argv, n_inputs, suffixes):
+            out = tmp_path / f"{argv[0]}{n_inputs}"
+            assert main(argv + ["input=increments", "y_col=2", *["--in", str(src)] * n_inputs,
+                                "--out", str(out)]) == 0
+            return [[line for line in Path(f"{out}{suffix}").read_text().splitlines()
+                     if not line.startswith(("# input", "# timestamp="))]
+                    for suffix in suffixes]
+
+        estimate = ["estimate", "q_min=1", "q_max=3", "q_step=1", "tau_max=5..10"]
+        one = tables(estimate, 1, (".curve.tsv", ".grid.tsv"))
+        assert one == tables(estimate, 2, (".curve.tsv", ".grid.tsv"))
+        assert "# series_y=y" in one[0] and "# pair=xy" in one[0]
+        decompose = ["decompose", "q=2", "tau_max=10"]
+        assert tables(decompose, 1, ("",)) == tables(decompose, 2, ("",))
 
     def test_column_selection(self, tmp_path):
         src = tmp_path / "two.csv"

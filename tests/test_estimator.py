@@ -83,6 +83,8 @@ class TestConfig:
             (dict(tau_max_range=(5, 20.0)), "tau_max_range end must be an integer, got 20.0"),
             (dict(min_fit_points=2.5), "min_fit_points must be an integer, got 2.5"),
             (dict(tau_min="2"), "tau_min must be an integer, got '2'"),
+            (dict(tau_min=0), "tau_min must be >= 1, got 0"),
+            (dict(min_fit_points=1), "min_fit_points must be >= 2, got 1"),
         ],
     )
     def test_non_integer_lags_and_fit_points(self, kwargs, message):
@@ -189,6 +191,8 @@ class TestHeightCovariance:
         x = series([0, 1, 3, 2, 5, 4])
         with pytest.raises(ParameterError, match="^tau must be an integer, got 2.5$"):
             height_covariance(x, x, 2.0, 2.5)
+        with pytest.raises(ParameterError, match="^tau must be >= 1, got 0$"):
+            height_covariance(x, x, 2.0, 0)
         assert height_covariance(x, x, 2.0, np.int64(2)) == height_covariance(x, x, 2.0, 2)
 
     def test_reduction_to_univariate(self):

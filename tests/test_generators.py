@@ -219,6 +219,12 @@ class TestIntegerFields:
         (lambda: NoisePairConfig(rho=0.5, length=10, seed=-2), "seed must be >= 0, got -2"),
         (lambda: TwoComponentConfig(d1=0.3, d2=0.3, w=0.75, length=100, seed=-3),
          "seed must be >= 0, got -3"),
+        (lambda: ArfimaConfig(d=0.3, length=0), "length must be >= 1, got 0"),
+        (lambda: ArfimaConfig(d=0.3, length=100, truncation=0), "truncation must be >= 1, got 0"),
+        (lambda: TwoComponentConfig(d1=0.3, d2=0.3, w=0.75, length=100, burn_in=-1),
+         "burn_in must be >= 0, got -1"),
+        (lambda: arfima_weights(0.3, 2.5), "max_lag must be an integer, got 2.5"),
+        (lambda: arfima_weights(0.3, 0), "max_lag must be >= 1, got 0"),
     ])
     def test_non_integer_or_negative_seed_is_a_parameter_error(self, build, message):
         with pytest.raises(ParameterError) as err:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mfhxa import (
     DomainError,
+    IncrementSeries,
     InsufficientDataError,
     LagTooLargeError,
     ParameterError,
@@ -180,6 +181,8 @@ def test_lag_and_step_must_be_integers():
         tau_increments(s, 2.5)
     with pytest.raises(ParameterError, match="^step must be an integer, got 2.5$"):
         subsample(s, 2.5)
+    with pytest.raises(ParameterError, match="^tau must be an integer, got 2.5$"):
+        IncrementSeries(s.values, 2.5)
     assert tau_increments(s, np.int64(2)).values.tolist() == [2.0] * 8
     assert subsample(s, np.int64(3)).values.tolist() == [0.0, 3.0, 6.0, 9.0]
 
