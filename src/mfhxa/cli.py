@@ -270,15 +270,27 @@ def cmd_transform(name: str, params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- estimate
 
-def _read_pair(paths: list[Path], x_col: int, y_col: int, mode: str):
+def _pair_source(params: Params, n_inputs: int) -> dict:
+    """input, x_col and y_col of estimate and decompose, keyed as in the manifest.
+
+    y_col defaults to x_col with one input and to 1 with two.
+    """
+    mode = params.string("input", "levels", choices=("levels", "increments"))
+    x_col = params.integer("x_col", 1)
+    y_col = params.integer("y_col", x_col if n_inputs == 1 else 1)
+    return {"input": mode, "x_col": x_col, "y_col": y_col}
+
+
+def _read_pair(paths: list[Path], source: dict):
     """X from column x_col of the first input, Y from column y_col of the last.
 
     With one input and y_col == x_col the pair is a self-pair: the column is
     read once and returned as both X and Y.
     """
+    x_col, y_col = source["x_col"], source["y_col"]
     cols = (x_col,) if len(paths) == 1 and y_col == x_col else (x_col, y_col)
     series = [read_series(path, col) for path, col in zip(paths * 2, cols)]
-    if mode == "increments":
+    if source["input"] == "increments":
         series = [accumulate(s) for s in series]
     return series[0], series[-1]
 
@@ -286,9 +298,7 @@ def _read_pair(paths: list[Path], x_col: int, y_col: int, mode: str):
 def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
     out_prefix = _require_out(out)
     preset = params.string("preset", "synthetic", choices=("synthetic", "real"))
-    mode = params.string("input", "levels", choices=("levels", "increments"))
-    x_col = params.integer("x_col", 1)
-    y_col = params.integer("y_col", x_col if len(inputs) == 1 else 1)
+    source = _pair_source(params, len(inputs))
     base = synthetic_preset() if preset == "synthetic" else real_preset()
     config = dataclasses.replace(
         base,
@@ -304,9 +314,9 @@ def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
     params.reject_unknown()
 
     paths = _require_inputs(inputs, 1, 2)
-    x, y = _read_pair(paths, x_col, y_col, mode)
+    x, y = _read_pair(paths, source)
     self_pair = y is x
-    meta = {"preset": preset, "input": mode, "pair": "self" if self_pair else "xy"}
+    meta = {"preset": preset, "pair": "self" if self_pair else "xy", **source}
     comments = manifest("estimate", meta, paths)
 
     moments = pair_moments(x, y, config)
@@ -333,18 +343,17 @@ def cmd_decompose(_name: None, params: Params, inputs, out) -> int:
     tau_hi = params.integer("tau_max", 20)
     filt = params.string("filter", EstimationConfig.filter, choices=FILTERS)
     min_fit_points = params.integer("min_fit_points", EstimationConfig.min_fit_points)
-    mode = params.string("input", "levels", choices=("levels", "increments"))
-    x_col = params.integer("x_col", 1)
-    y_col = params.integer("y_col", x_col if len(inputs) == 1 else 1)
+    source = _pair_source(params, len(inputs))
     params.reject_unknown()
     paths = _require_inputs(inputs, 1, 2)
     config = EstimationConfig(
         q_grid=(q,), tau_min=tau_min, tau_max_range=(tau_hi, tau_hi),
         filter=filt, min_fit_points=min_fit_points,
     )
-    x, y = _read_pair(paths, x_col, y_col, mode)
-    meta = {"q": format_number(q), "tau_min": tau_min, "tau_max": tau_hi,
-            "filter": filt, "input": mode}
+    x, y = _read_pair(paths, source)
+    # q is written once, by write_decomposition
+    meta = {"tau_min": tau_min, "tau_max": tau_hi, "filter": filt,
+            "min_fit_points": min_fit_points, **source}
     write_decomposition(out_path, pair_moments(x, y, config, split=True),
                         manifest("decompose", meta, paths))
     return 0

@@ -15,20 +15,22 @@ exponent alpha(q) whenever it scales at all. Comparing alpha(q) with the
 average of the univariate exponents separates co-movement inherited from each
 series' own persistence from genuine joint scaling.
 
-Every pair statistic comes from one public kernel, `pair_moments`: per tau it
-builds the detrended increments of each series once and walks the q grid
-once, giving K_xy, K_xx, K_yy and, with split=True, the product and
-covariance terms, which `PairMoments.decomposition` turns into a
-`ScalingDecomposition`. Every (q, tau_max) slope then comes from one pass of
+Every pair statistic comes from one public kernel, `pair_moments`, whose work
+block holds X and Y as rows (a self-pair is one row): per tau one call builds
+the block's detrended increments, and its powers walk the q grid once, giving
+K_xy, K_xx, K_yy and, with split=True, the product and covariance terms, which
+`PairMoments.decomposition` turns into a `ScalingDecomposition`. Every least
+squares fit (each (q, tau_max) slope with its R^2, and alpha) is one pass of
 prefix sums in `_window_slopes`, and every jackknife estimate (of a curve, a
-verdict or `jackknife_hurst`) from one routine, `_jackknife_rows`, which fits
-only the grid taus within the config's taus. A curve holds one result per q
-of its grid, in order: the estimate, or that q's failure note.
+verdict or `jackknife_hurst`) comes from `_jackknife_rows`, which fits only the
+grid taus within the config's taus. A curve holds one result per q of its
+grid, in order: the estimate, or that q's failure note.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,40 +130,40 @@ def real_preset() -> EstimationConfig:
 def _detrend_array(d: np.ndarray, filter: str, out: np.ndarray | None = None) -> np.ndarray:
     """d minus its mean (constant) or its OLS line in the time index (linear).
 
-    Pass out=d to detrend in place. The mean is np.add.reduce(d) / d.size,
-    which is d.mean() bit for bit without its Python wrapper.
+    Each row of a block is detrended along the last axis bit for bit as it
+    would be alone: the mean is np.add.reduce / n, which is d.mean() without
+    its Python wrapper, and a row's slope comes from a (1 x n) @ (n x 1)
+    product, which is np.dot of that row. Pass out=d to detrend in place.
     """
+    n = d.shape[-1]
     if filter == "none":
         return d
-    if filter == "constant":
-        if d.size < 2:
-            raise InsufficientDataError(
-                f"constant filter needs at least 2 increments, got {d.size}"
-            )
-        return np.subtract(d, np.add.reduce(d) / d.size, out=out)
-    if filter == "linear":
-        if d.size < 3:
-            raise InsufficientDataError(
-                f"linear filter needs at least 3 increments, got {d.size}"
-            )
-        tc = np.arange(d.size, dtype=float)
+    need = {"constant": 2, "linear": 3}.get(filter)
+    if need is None:
+        raise ParameterError(f"filter must be one of {FILTERS}, got {filter!r}")
+    if n < need:
+        raise InsufficientDataError(
+            f"{filter} filter needs at least {need} increments, got {n}"
+        )
+    if filter == "linear":  # the slope is taken before out=d is overwritten
+        tc = np.arange(n, dtype=float)
         tc -= tc.mean()
-        slope = np.dot(tc, d) / np.dot(tc, tc)
-        r = np.subtract(d, np.add.reduce(d) / d.size, out=out)
-        return np.subtract(r, slope * tc, out=r)
-    raise ParameterError(f"filter must be one of {FILTERS}, got {filter!r}")
+        slope = (d[..., None, :] @ tc[:, None])[..., 0] / np.dot(tc, tc)
+    r = np.subtract(d, np.add.reduce(d, axis=-1, keepdims=True) / n, out=out)
+    return r if filter == "constant" else np.subtract(r, slope * tc, out=r)
 
 
 def _filtered_increments(values: np.ndarray, tau: int, filter: str,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """The detrended lag-tau increments of values.
+    """The detrended lag-tau increments of values (a series, or one per row).
 
-    With out, a float buffer of at least values.size - tau elements, they are
-    built in its leading part, which is returned; else in a new array.
+    With out, a contiguous float buffer of at least as many elements, they
+    are built in its leading elements and returned; else in a new array.
     """
+    shape = values.shape[:-1] + (values.shape[-1] - tau,)
     if out is not None:
-        out = out[:values.size - tau]
-    d = np.subtract(values[tau:], values[:-tau], out=out)
+        out = out.reshape(-1)[:math.prod(shape)].reshape(shape)
+    d = np.subtract(values[..., tau:], values[..., :-tau], out=out)
     return _detrend_array(d, filter, out=d)
 
 
@@ -278,28 +280,24 @@ def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
     return np.power(a, e, out=o) if build is None else build(a, o)
 
 
-def _powers(ax: np.ndarray, ay: np.ndarray, q: np.ndarray, step: float | None):
-    """Yield (ax^(q/2), ay^(q/2)) for each q in order.
+def _powers(a: np.ndarray, q: np.ndarray, step: float | None):
+    """Yield the rows of a^(q/2), a tuple of row views, for each q in order.
 
-    Uniform grids walk a ladder, one multiplication per q; other grids take
-    each power directly, and a single q powers ax and ay in place. When ay is
-    ax only one ladder is kept, and both values of a pair are the same array.
+    Uniform grids walk a ladder, one multiplication of the block per q; other
+    grids take each power directly, and a single q powers a in place. The
+    ladder and a single q keep one array, whose row views are made once.
     """
-    same = ay is ax
     if step is None:
-        ox, oy = (ax, ay) if q.size == 1 else (None, None)
+        out = a if q.size == 1 else None
         for qi in q:
-            px = _power(ax, 0.5 * qi, ox)
-            yield px, px if same else _power(ay, 0.5 * qi, oy)
+            yield tuple(_power(a, 0.5 * qi, out))
         return
-    px, sx = _power(ax, 0.5 * q[0]), _power(ax, 0.5 * step)
-    py, sy = (px, sx) if same else (_power(ay, 0.5 * q[0]), _power(ay, 0.5 * step))
+    p, s = _power(a, 0.5 * q[0]), _power(a, 0.5 * step)
+    rows = tuple(p)
     for i in range(q.size):
-        yield px, py
+        yield rows
         if i + 1 < q.size:
-            np.multiply(px, sx, out=px)
-            if not same:
-                np.multiply(py, sy, out=py)
+            np.multiply(p, s, out=p)
 
 
 @dataclass(frozen=True)
@@ -334,8 +332,9 @@ class PairMoments:
     def decomposition(self) -> ScalingDecomposition:
         """The ScalingDecomposition of a split pass at a single q.
 
-        The alpha fit reads min_fit_points from the config of this pass,
-        which the result keeps.
+        alpha and its R^2 come from `_window_slopes`, as one window over the
+        taus with positive covariance. The fit reads min_fit_points from the
+        config of this pass, which the result keeps.
         """
         if self.product is None or len(self.config.q_grid) != 1:
             raise ParameterError("decomposition needs a split kernel pass at one q")
@@ -345,16 +344,14 @@ class PairMoments:
         covariance = dict(zip(taus, self.covariance[0].tolist()))
 
         positive = tuple(t for t in taus if covariance[t] > 0.0)
+        slopes, fit_r2, failures = _window_slopes(
+            positive, np.array([[covariance[t] for t in positive]]), (q,), (taus[-1],),
+            self.config.min_fit_points)
         alpha = r_squared = None
-        if len(positive) >= self.config.min_fit_points:
-            lt = np.log(np.array(positive, dtype=float))
-            lc = np.log(np.array([covariance[t] for t in positive]))
-            slope = _ols_slope(lt, lc)
-            resid = (lc - lc.mean()) - slope * (lt - lt.mean())
-            total = float(np.sum((lc - lc.mean()) ** 2))
-            r_squared = 1.0 - float(np.sum(resid**2)) / total if total > 0 else 1.0
+        if failures[0] is None:
+            r_squared = float(fit_r2[0, 0])
             if r_squared >= ALPHA_MIN_R2:
-                alpha = slope / q
+                alpha = float(slopes[0, 0]) / q
         return ScalingDecomposition(q, product, covariance, alpha, positive, r_squared,
                                     self.x.label, self.y.label, self.config)
 
@@ -364,44 +361,42 @@ def pair_moments(
 ) -> PairMoments:
     """One pass over the lag-tau increments of a pair for every (q, tau) cell.
 
-    Per tau, the detrended increments of each series are built once and the
-    powers a = |dX|^(q/2), b = |dY|^(q/2) walk the q grid once. Each scaling
-    function is a dot product: K_xy = <a, b>/n, K_xx = <a, a>/n and
+    X and Y are the rows of one work block; a self-pair (y is x) is the
+    one-row block, whose K_xy and K_yy are its K_xx. Per tau, one call builds
+    the block's detrended |lag-tau increments| in place, and their powers
+    walk the q grid once. With a and b the X and Y rows of the powers, each
+    scaling function is a dot product: K_xy = <a, b>/n, K_xx = <a, a>/n and
     K_yy = <b, b>/n. With split, the product term mean(a) * mean(b) and the
     centred covariance mean((a - mean(a)) * (b - mean(b))) are kept as well.
-    Pass y = x for a single series; its increments are then built once. Each
-    series has one work buffer per call, in which every tau's |increments|
-    are built in place; the working set is a few arrays of the series' length.
     """
     taus = tuple(config.taus)
     _check_pair(x, y, taus[-1])
     q = np.asarray(config.q_grid)
     step = _ladder_step(q)
+    series = [x.values] if y is x else [x.values, y.values]
+    # the block and its work space share one allocation: as two, at 10k
+    # samples per series, they were page-faulted afresh on every call
+    block, work = np.empty((2, len(series), len(x)))
+    np.stack(series, out=block)
     shape = (q.size, len(taus))
-    k_xy, k_xx, k_yy = np.empty(shape), np.empty(shape), np.empty(shape)
+    # k[r, s] = <p[r], p[s]>/n for each pair of block rows r <= s
+    pairs = tuple(itertools.combinations_with_replacement(range(len(block)), 2))
+    k = np.empty((len(block),) * 2 + shape)
     product = np.empty(shape) if split else None
     covariance = np.empty(shape) if split else None
-    wx = np.empty(len(x) - taus[0])
-    wy = None if y is x else np.empty_like(wx)
     for j, tau in enumerate(taus):
-        ax = _filtered_increments(x.values, tau, config.filter, wx)
-        ay = ax if wy is None else _filtered_increments(y.values, tau, config.filter, wy)
-        np.abs(ax, out=ax)
-        if ay is not ax:
-            np.abs(ay, out=ay)
-        n = ax.size
-        for i, (a, b) in enumerate(_powers(ax, ay, q, step)):
-            k_xx[i, j] = np.dot(a, a) / n
-            if b is a:
-                k_xy[i, j] = k_yy[i, j] = k_xx[i, j]
-            else:
-                k_xy[i, j] = np.dot(a, b) / n
-                k_yy[i, j] = np.dot(b, b) / n
+        d = _filtered_increments(block, tau, config.filter, work)
+        np.abs(d, out=d)
+        n = d.shape[1]
+        for i, p in enumerate(_powers(d, q, step)):
+            for r, s in pairs:
+                k[r, s, i, j] = np.dot(p[r], p[s]) / n
             if split:
+                a, b = p[0], p[-1]
                 am, bm = a.mean(), b.mean()
                 product[i, j] = am * bm
                 covariance[i, j] = np.mean((a - am) * (b - bm))
-    return PairMoments(x, y, config, k_xy, k_xx, k_yy, product, covariance)
+    return PairMoments(x, y, config, k[0, -1], k[0, 0], k[-1, -1], product, covariance)
 
 
 def covariance_grid(
@@ -411,18 +406,14 @@ def covariance_grid(
     return pair_moments(x, y, config).grid("xy")
 
 
-def _ols_slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    xc = xs - xs.mean()
-    return float(np.dot(xc, ys) / np.dot(xc, xc))
-
-
 def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, min_fit_points: int):
-    """OLS slope of log K on log tau over each window tau <= tau_max, per row of k.
+    """OLS fit of log K on log tau over each window tau <= tau_max, per row of k.
 
     The windows are nested, so after sorting by tau every window is a prefix
     and one pass of prefix sums of the centred logs gives all (row, window)
-    slopes. tau_maxes must be increasing. Returns (slopes, failures):
-    slopes has shape (rows, windows); failures[i] is None, or (tau_max,
+    slopes and their R^2 (1.0 when log K is constant over the window).
+    tau_maxes must be increasing. Returns (slopes, r_squared, failures): the
+    first two have shape (rows, windows); failures[i] is None, or (tau_max,
     error) for the first window in which row i cannot be fitted, with the
     error a per-window fit raises there: too few taus, or a zero K.
     """
@@ -436,7 +427,8 @@ def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, min_fit_points: int):
             f"{counts[0]} tau values available up to tau_max={tm[0]}, "
             f"need {min_fit_points}"
         )
-        return np.full((ks.shape[0], tm.size), np.nan), [(int(tm[0]), error)] * ks.shape[0]
+        nan = np.full((ks.shape[0], tm.size), np.nan)
+        return nan, nan, [(int(tm[0]), error)] * ks.shape[0]
 
     zero = ks <= 0
     first_zero = np.where(zero.any(axis=1), ts[zero.argmax(axis=1)], np.inf)
@@ -458,17 +450,22 @@ def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, min_fit_points: int):
     su = np.cumsum(lt)[last]
     suu = np.cumsum(lt * lt)[last]
     sv = np.cumsum(lk, axis=1)[:, last]
+    svv = np.cumsum(lk * lk, axis=1)[:, last]
     suv = np.cumsum(lk * lt, axis=1)[:, last]
+    sxy = suv - su * sv / counts
+    sxx = suu - su * su / counts
+    syy = svv - sv * sv / counts
     with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = (suv - su * sv / counts) / (suu - su * su / counts)
-    return slopes, failures
+        slopes = sxy / sxx
+        r_squared = np.where(syy == 0, 1.0, sxy * sxy / (sxx * syy))
+    return slopes, r_squared, failures
 
 
 def fit_hurst_single(grid: HeightCovarianceGrid, q: float, tau_max: int) -> float:
     """Slope of log K against log tau over tau_min..tau_max, divided by q."""
     i = grid.q_index(q)
-    slopes, failures = _window_slopes(grid.tau_values, grid.k_matrix[i:i + 1], (q,),
-                                      (tau_max,), grid.config.min_fit_points)
+    slopes, _, failures = _window_slopes(grid.tau_values, grid.k_matrix[i:i + 1], (q,),
+                                         (tau_max,), grid.config.min_fit_points)
     if failures[0] is not None:
         raise failures[0][1]
     return float(slopes[0, 0]) / q
@@ -537,8 +534,8 @@ def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig) -> list:
         ) for _ in qs]
     t, kept = np.asarray(taus), config.taus
     fitted = (t >= kept.start) & (t < kept.stop)
-    slopes, failures = _window_slopes(t[fitted], k[:, fitted], qs, tau_maxes,
-                                      config.min_fit_points)
+    slopes, _, failures = _window_slopes(t[fitted], k[:, fitted], qs, tau_maxes,
+                                         config.min_fit_points)
     hs = slopes / np.asarray(qs, dtype=float)[:, None]
     h = hs.mean(axis=1)
     dof = _effective_dof(config, len(tau_maxes))

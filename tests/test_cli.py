@@ -419,6 +419,43 @@ class TestReplicate:
         assert h_x == pytest.approx(0.8, abs=0.08)
         assert h_y == pytest.approx(0.6, abs=0.08)
 
+    # fig1a and fig2a come from the deterministic cascade and need no seed;
+    # their tables, kept as fixtures/replicate_<table>, were written by the
+    # kernel that preceded the row-block one
+    GOLDEN = {"fig1a": "fig1a_curves.tsv", "fig2a": "fig2a_decomposition.tsv"}
+
+    @staticmethod
+    def golden_cells(path):
+        """Every line of a table as a list of cells, without version and timestamp lines.
+
+        A comment line's cells are its key and value.
+        """
+        lines = []
+        for line in Path(path).read_text().splitlines():
+            if line.startswith("# "):
+                key, _, value = line[2:].partition("=")
+                if key not in ("tool", "numpy", "scipy", "timestamp"):
+                    lines.append([key, value])
+            else:
+                lines.append(line.split("\t"))
+        return lines
+
+    @pytest.mark.parametrize("figure", sorted(GOLDEN))
+    def test_deterministic_panels_match_their_golden_tables(self, tmp_path, figure):
+        assert main(["replicate", figure, "--out", str(tmp_path)]) == 0
+        name = self.GOLDEN[figure]
+        got = self.golden_cells(tmp_path / name)
+        want = self.golden_cells(FIXTURES / f"replicate_{name}")
+        assert [len(cells) for cells in got] == [len(cells) for cells in want]
+        for got_cells, want_cells in zip(got, want):
+            for g, w in zip(got_cells, want_cells):
+                try:
+                    w_value = float(w)
+                except ValueError:  # a key, a note, NA or the no-scaling marker
+                    assert g == w, (got_cells, want_cells)
+                    continue
+                assert abs(float(g) - w_value) <= 1e-12 * abs(w_value), (got_cells, want_cells)
+
 
 class TestManifest:
     def test_generate_manifest_replays_to_same_output(self, tmp_path):
@@ -451,6 +488,30 @@ class TestManifest:
         assert main(["transform", "log-returns", "--in", str(src), "--out", str(out)]) == 0
         text = out.read_text()
         assert "input1_sha256=" in text
+
+    def test_estimate_and_decompose_record_each_key_once(self, tmp_path):
+        # one input read as a pair (y_col=2): the manifest alone must replay it
+        src = tmp_path / "pair.csv"
+        assert main(["generate", "arfima-pair", "d1=0.3", "d2=0.1", "rho=0.5", "length=400",
+                     "burn_in=50", "truncation=100", "seed=3", "--out", str(src)]) == 0
+        runs = {
+            "estimate": (["preset=real", "tau_max=5..10"], ".curve.tsv",
+                         {"preset": "real", "pair": "xy", "tau_max_range": "5..10"}),
+            "decompose": (["q=2", "min_fit_points=7", "filter=linear", "tau_max=10"], "",
+                          {"q": "2", "min_fit_points": "7", "filter": "linear",
+                           "tau_max": "10", "tau_min": "1"}),
+        }
+        for command, (argv, suffix, want) in runs.items():
+            out = tmp_path / command
+            assert main([command, *argv, "input=increments", "y_col=2", "--in", str(src),
+                         "--out", str(out)]) == 0
+            keys = [line[2:].split("=", 1) for line in
+                    Path(f"{out}{suffix}").read_text().splitlines() if line.startswith("# ")]
+            names = [key for key, _ in keys]
+            assert len(names) == len(set(names)), (command, names)
+            record = dict(keys)
+            want = {**want, "input": "increments", "x_col": "1", "y_col": "2"}
+            assert {key: record.get(key) for key in want} == want, command
 
 
 class TestEstimateModes:

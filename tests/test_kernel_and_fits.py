@@ -23,6 +23,7 @@ from mfhxa import (
     HeightCovarianceGrid,
     InsufficientPointsError,
     MfhxaError,
+    PairMoments,
     ParameterError,
     TimeSeries,
     covariance_grid,
@@ -36,7 +37,7 @@ from mfhxa import (
     scaling_decomposition,
     student_t_quantile,
 )
-from mfhxa.estimator import FILTERS, _power
+from mfhxa.estimator import ALPHA_MIN_R2, FILTERS, _detrend_array, _power
 
 UNIFORM_QS = q_range(0.25, 6.0, 0.5)  # 12 evenly spaced q: the power-ladder path
 UNEVEN_QS = (0.3, 1.0, 2.5, 4.0, 7.5)  # direct powers
@@ -164,10 +165,11 @@ def test_kernel_matches_direct_summation(filt, qs):
             assert close(m.covariance[i, j], want["covariance"], scale=scale), (q, tau)
 
 
-@pytest.mark.parametrize("qs", [UNIFORM_QS, UNEVEN_QS], ids=["uniform", "uneven"])
-def test_kernel_self_pair_is_one_series(qs):
+@pytest.mark.parametrize("filt", FILTERS)
+@pytest.mark.parametrize("qs", [UNIFORM_QS, UNEVEN_QS, (2.5,)], ids=["uniform", "uneven", "one-q"])
+def test_kernel_self_pair_is_one_series(qs, filt):
     x, y = walk_pair(3, n=500)
-    cfg = EstimationConfig(q_grid=qs, tau_max_range=(5, 30), filter="linear")
+    cfg = EstimationConfig(q_grid=qs, tau_max_range=(5, 30), filter=filt)
     pair = pair_moments(x, y, cfg, split=True)
     alone = pair_moments(x, x, cfg, split=True)
     assert np.array_equal(alone.k_xy, alone.k_xx)
@@ -175,6 +177,20 @@ def test_kernel_self_pair_is_one_series(qs):
     assert np.array_equal(pair.k_xx, alone.k_xx)
     assert np.array_equal(covariance_grid(x, x, cfg).k_matrix, alone.k_xx)
     np.testing.assert_allclose(alone.product + alone.covariance, alone.k_xx, rtol=1e-12)
+
+
+@pytest.mark.parametrize("filt", FILTERS)
+def test_detrending_a_block_detrends_each_row_alone(filt):
+    # the kernel detrends X and Y as the rows of one block; each row must come
+    # out as it would alone, also when the block is a view into a wider buffer
+    rng = np.random.default_rng(8)
+    for n in (3, 10, 999, 10_000):
+        work = rng.standard_normal((2, n + 7)).cumsum(axis=1)
+        block = work[:, :n]
+        alone = [_detrend_array(row.copy(), filt) for row in block]
+        assert _detrend_array(block, filt, out=block) is block
+        for r in range(2):
+            assert np.array_equal(block[r], alone[r]), (n, r)
 
 
 def test_power_helper_is_within_4_ulp_of_np_power():
@@ -268,6 +284,50 @@ def test_covariance_term_keeps_its_centred_form():
         want = direct_moments(x, y, 2.0, tau, "none")["covariance"]
         assert want > 0.0
         assert close(dec.covariance_term[tau], want, tol=1e-7), tau
+
+
+def decomposition_of(covariance, min_fit_points=4):
+    """The decomposition of a split pass at q = 2 whose covariance row is given."""
+    x = TimeSeries(np.arange(100.0), "x")
+    cfg = EstimationConfig(q_grid=(2.0,), tau_max_range=(len(covariance),) * 2,
+                           min_fit_points=min_fit_points)
+    k = np.ones((1, len(covariance)))
+    return PairMoments(x, x, cfg, k, k, k, k, np.array([covariance], dtype=float)).decomposition()
+
+
+def test_alpha_and_r_squared_match_polyfit():
+    rng = np.random.default_rng(14)
+    taus = np.arange(1.0, 31.0)
+    scaling = 3e-4 * taus ** 1.4 * np.exp(rng.normal(0.0, 0.05, taus.size))
+    noise = rng.normal(0.0, 1.0, taus.size)  # varies around zero: about half positive
+    for covariance, scales in ((scaling, True), (noise, False)):
+        dec = decomposition_of(covariance)
+        fit = covariance > 0
+        assert dec.alpha_fit_taus == tuple(int(t) for t in taus[fit])
+        lt, lc = np.log(taus[fit]), np.log(covariance[fit])
+        slope, intercept = np.polyfit(lt, lc, 1)
+        resid = lc - (slope * lt + intercept)
+        r_squared = 1.0 - np.sum(resid ** 2) / np.sum((lc - lc.mean()) ** 2)
+        assert close(dec.r_squared, r_squared, scale=1.0), (dec.r_squared, r_squared)
+        assert (dec.r_squared >= ALPHA_MIN_R2) == scales
+        if scales:
+            assert close(dec.alpha, slope / 2.0), (dec.alpha, slope / 2.0)
+        else:
+            assert dec.alpha is None and dec.alpha_reason == dec.NO_SCALING
+
+
+def test_alpha_fit_edges():
+    for value in (0.3, 1.0, 7e-9, 1e6):  # log c is a constant: an exact fit
+        dec = decomposition_of(np.full(20, value))
+        assert dec.r_squared == 1.0 and abs(dec.alpha) < 1e-12, value
+    few = np.full(20, -1.0)
+    few[[2, 7, 11]] = (0.1, 0.2, 0.3)
+    dec = decomposition_of(few)  # 3 positive taus, 4 needed
+    assert (dec.alpha, dec.r_squared, dec.alpha_fit_taus) == (None, None, (3, 8, 12))
+    dec = decomposition_of(few, min_fit_points=3)
+    assert dec.alpha_fit_taus == (3, 8, 12) and dec.r_squared is not None
+    dec = decomposition_of(np.zeros(20))
+    assert (dec.alpha, dec.r_squared, dec.alpha_fit_taus, dec.n_excluded) == (None, None, (), 20)
 
 
 # ------------------------------------------------------------- window fits
