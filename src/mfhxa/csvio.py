@@ -48,7 +48,7 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
     file is split and converted a whole column at a time. Only when that
     fails are the lines walked one by one, to report the first bad one.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = list(map(str.strip, text.split("\n")))
     kept = [i for i, line in enumerate(stripped) if line and line[0] != "#"]

@@ -153,6 +153,11 @@ def _detrend_array(d: np.ndarray, filter: str, out: np.ndarray | None = None) ->
     return r if filter == "constant" else np.subtract(r, slope * tc, out=r)
 
 
+def _leading(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading elements of a contiguous buffer, viewed as an array of shape."""
+    return buffer.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
 def _filtered_increments(values: np.ndarray, tau: int, filter: str,
                          out: np.ndarray | None = None) -> np.ndarray:
     """The detrended lag-tau increments of values (a series, or one per row).
@@ -162,7 +167,7 @@ def _filtered_increments(values: np.ndarray, tau: int, filter: str,
     """
     shape = values.shape[:-1] + (values.shape[-1] - tau,)
     if out is not None:
-        out = out.reshape(-1)[:math.prod(shape)].reshape(shape)
+        out = _leading(out, shape)
     d = np.subtract(values[..., tau:], values[..., :-tau], out=out)
     return _detrend_array(d, filter, out=d)
 
@@ -280,19 +285,21 @@ def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
     return np.power(a, e, out=o) if build is None else build(a, o)
 
 
-def _powers(a: np.ndarray, q: np.ndarray, step: float | None):
+def _powers(a: np.ndarray, q: np.ndarray, step: float | None, space):
     """Yield the rows of a^(q/2), a tuple of row views, for each q in order.
 
     Uniform grids walk a ladder, one multiplication of the block per q; other
     grids take each power directly, and a single q powers a in place. The
-    ladder and a single q keep one array, whose row views are made once.
+    powers and the ladder's step go into the two buffers of `space`, which
+    every tau of a pass reuses; the ladder's row views are made once.
     """
     if step is None:
-        out = a if q.size == 1 else None
+        out = a if q.size == 1 else _leading(space[0], a.shape)
         for qi in q:
             yield tuple(_power(a, 0.5 * qi, out))
         return
-    p, s = _power(a, 0.5 * q[0]), _power(a, 0.5 * step)
+    p = _power(a, 0.5 * q[0], _leading(space[0], a.shape))
+    s = _power(a, 0.5 * step, _leading(space[1], a.shape))
     rows = tuple(p)
     for i in range(q.size):
         yield rows
@@ -374,9 +381,10 @@ def pair_moments(
     q = np.asarray(config.q_grid)
     step = _ladder_step(q)
     series = [x.values] if y is x else [x.values, y.values]
-    # the block and its work space share one allocation: as two, at 10k
-    # samples per series, they were page-faulted afresh on every call
-    block, work = np.empty((2, len(series), len(x)))
+    # the block, its work space and the powers' two arrays share one
+    # allocation: as separate arrays they were page-faulted afresh on every
+    # call (the powers on every tau)
+    block, work, *space = np.empty((4, len(series), len(x)))
     np.stack(series, out=block)
     shape = (q.size, len(taus))
     # k[r, s] = <p[r], p[s]>/n for each pair of block rows r <= s
@@ -388,7 +396,7 @@ def pair_moments(
         d = _filtered_increments(block, tau, config.filter, work)
         np.abs(d, out=d)
         n = d.shape[1]
-        for i, p in enumerate(_powers(d, q, step)):
+        for i, p in enumerate(_powers(d, q, step, space)):
             for r, s in pairs:
                 k[r, s, i, j] = np.dot(p[r], p[s]) / n
             if split:

@@ -5,9 +5,10 @@ fractional-noise recursions driven by (optionally correlated) Gaussian
 innovations, and the coupled two-component variant that mixes the memory of
 two such processes.
 
-Randomness comes from numpy's PCG64 via ``np.random.default_rng(seed)``;
-normal variates use its ziggurat ``standard_normal``. The same seed therefore
-reproduces a series bit-for-bit on the same numpy build.
+Every generator takes its innovations from ``_innovations``: N(0,1) streams
+drawn in order (eps, then nu) from ``np.random.default_rng(seed)`` (PCG64,
+ziggurat ``standard_normal``), or the checked heads of injected series. The
+same seed therefore reproduces a series bit-for-bit on the same numpy build.
 
 The recursions define the series; they are computed as causal linear filters.
 A truncated recursion x = A(L) x + eps with A(L) = sum a_i L^i is the power
@@ -16,8 +17,8 @@ modulo L^n (n = burn_in + length) by Newton doubling with FFT products, and
 x is its FFT convolution with the noise. This equals the sample-by-sample
 recursion up to rounding, about 1e-14 relative to the largest value. The
 frequency responses depend only on the parameters and n, so the last few are
-cached (read-only) and a call costs one FFT per noise stream and one inverse
-FFT per output series.
+cached (read-only). One filter, ``_filtered``, applies them for every
+generator: one FFT per noise stream and one inverse FFT per output series.
 """
 
 from __future__ import annotations
@@ -140,15 +141,25 @@ def correlated_noise_pair(config: NoisePairConfig) -> tuple[TimeSeries, TimeSeri
     The second stream is rho*eps + sqrt(1 - rho^2)*eta, with eps and eta
     independent; rho = +/-1 collapses it to +/-eps exactly.
     """
-    rng = np.random.default_rng(config.seed)
-    eps = rng.standard_normal(config.length)
-    eta = rng.standard_normal(config.length)
+    eps, eta = _innovations(config.seed, 2, 0, config.length)
     nu = config.rho * eps + math.sqrt(1.0 - config.rho * config.rho) * eta
     return TimeSeries(eps, "eps"), TimeSeries(nu, "nu")
 
 
-def _required_noise(config) -> int:
-    return config.burn_in + config.length
+def _innovations(seed: int, count: int, burn_in: int, length: int, noise=None):
+    """`count` streams of burn_in + length innovations: N(0,1) draws from the seed
+    in order (eps, then nu), or the heads of the injected `noise` series."""
+    total = burn_in + length
+    if noise is None:
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(total) for _ in range(count)]
+    if min(len(stream) for stream in noise) < total:
+        got = " and ".join(str(len(stream)) for stream in noise)
+        raise InsufficientDataError(
+            f"need {total} noise values per stream (burn_in {burn_in} + length "
+            f"{length}), got {got}"
+        )
+    return [stream.values[:total] for stream in noise]
 
 
 def _fft_size(n: int) -> int:
@@ -204,6 +215,19 @@ def _one_minus(w: float, a: np.ndarray) -> np.ndarray:
     return p
 
 
+def _filtered(responses, streams, burn_in: int) -> list[np.ndarray]:
+    """One output per row of `responses`: irfft of sum(response x stream spectrum).
+
+    A row holds one rfft response per stream, at size _fft_size(2n - 1); each
+    stream is transformed once and each output loses its first burn_in values.
+    """
+    total = len(streams[0])
+    size = _fft_size(2 * total - 1)
+    spectra = [np.fft.rfft(stream, size) for stream in streams]
+    sums = (functools.reduce(np.add, map(np.multiply, row, spectra)) for row in responses)
+    return [np.fft.irfft(spectrum, size)[burn_in:total] for spectrum in sums]
+
+
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.setflags(write=False)
     return values
@@ -255,20 +279,12 @@ def generate_arfima(config: ArfimaConfig, noise: TimeSeries | None = None) -> Ti
     1 - sum a_i L^i (see the module docstring); equal to the recursion up to
     rounding of about 1e-14 relative.
     """
-    total = _required_noise(config)
-    if noise is None:
-        eps = np.random.default_rng(config.seed).standard_normal(total)
-    else:
-        if len(noise) < total:
-            raise InsufficientDataError(
-                f"need {total} noise values (burn_in {config.burn_in} + length "
-                f"{config.length}), got {len(noise)}"
-            )
-        eps = noise.values[:total]
+    total = config.burn_in + config.length
+    injected = None if noise is None else (noise,)
+    streams = _innovations(config.seed, 1, config.burn_in, config.length, injected)
     response = _arfima_response(config.d, min(config.truncation, total - 1), total)
-    size = _fft_size(2 * total - 1)
-    x = np.fft.irfft(response * np.fft.rfft(eps, size), size)[:total]
-    return TimeSeries(x[config.burn_in :], f"arfima(d={config.d:g})")
+    (x,) = _filtered([(response,)], streams, config.burn_in)
+    return TimeSeries(x, f"arfima(d={config.d:g})")
 
 
 def generate_two_component(
@@ -291,32 +307,14 @@ def generate_two_component(
     stream by FFT; equal to the recursion up to rounding of about 1e-14
     relative.
     """
-    total = _required_noise(config)
-    if noise is None:
-        rng = np.random.default_rng(config.seed)
-        eps = rng.standard_normal(total)
-        nu = rng.standard_normal(total)
-    else:
-        if len(noise[0]) < total or len(noise[1]) < total:
-            raise InsufficientDataError(
-                f"need {total} noise values per stream, got "
-                f"{len(noise[0])} and {len(noise[1])}"
-            )
-        eps = noise[0].values[:total]
-        nu = noise[1].values[:total]
-
+    total = config.burn_in + config.length
+    streams = _innovations(config.seed, 2, config.burn_in, config.length, noise)
     g11, g12, g21, g22 = _two_component_response(
         config.d1, config.d2, config.w, min(config.truncation, total - 1), total
     )
-    size = _fft_size(2 * total - 1)
-    eps_f = np.fft.rfft(eps, size)
-    nu_f = np.fft.rfft(nu, size)
-    x_series = np.fft.irfft(g11 * eps_f + g12 * nu_f, size)[:total]
-    y_series = np.fft.irfft(g22 * nu_f + g21 * eps_f, size)[:total]
-
-    b = config.burn_in
+    x_series, y_series = _filtered([(g11, g12), (g21, g22)], streams, config.burn_in)
     tag = f"d1={config.d1:g},d2={config.d2:g},w={config.w:g}"
     return (
-        TimeSeries(x_series[b:], f"twocomp_x({tag})"),
-        TimeSeries(y_series[b:], f"twocomp_y({tag})"),
+        TimeSeries(x_series, f"twocomp_x({tag})"),
+        TimeSeries(y_series, f"twocomp_y({tag})"),
     )

@@ -111,7 +111,9 @@ def _positive(values: np.ndarray, what: str) -> None:
     bad = np.flatnonzero(values <= 0.0)
     if bad.size:
         i = int(bad[0])
-        raise DomainError(f"{what} must be strictly positive; value {values[i]!r} at index {i}")
+        raise DomainError(
+            f"{what} must be strictly positive; value {float(values[i])} at index {i}"
+        )
 
 
 def log_returns(prices: TimeSeries) -> TimeSeries:

@@ -40,7 +40,7 @@ def _split(line: str) -> list[str]:
 
 def oracle_read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
     rows: list[tuple[int, list[str]]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -135,7 +135,7 @@ def header_mismatch(path):
     columns; the library rejects it. The rule is restated here from the
     reference's own layout inference, which reads only the first two rows.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         rows = [_split(line) for line in map(str.strip, fh)
                 if line and not line.startswith("#")]
     if len(rows) < 2:
@@ -211,6 +211,7 @@ FIXED_FILES = {
     "separator_chars_stripped_by_strip": "x,y\n1\x1c,\x1f2\n3,4\n",
     "unicode_space": "x\n 1 \n\xa02\n",
     "bom": "\ufeffx\n1\n",
+    "bom_no_header": "\ufeff1.5\n2.5\n3.5\n4.5\n",
     "form_feed_line": "x\n1\n\x0c\n2\n",
 }
 
@@ -242,6 +243,17 @@ def test_reader_matches_reference(tmp_path, name):
     dates, cols, names = oracle_read_columns(path)
     assert len(names) == len(cols)
     assert_same_read(path)
+
+
+@pytest.mark.parametrize("text, names, values", [
+    ("\ufeffx\n1\n", ["x"], [1.0]),
+    ("\ufeff1.5\n2.5\n3.5\n4.5\n", ["col1"], [1.5, 2.5, 3.5, 4.5]),
+], ids=["header", "no_header"])
+def test_byte_order_mark_is_not_data(tmp_path, text, names, values):
+    # Excel's "CSV UTF-8" export starts with a BOM; it belongs to no cell
+    dates, cols, got_names = read_columns(write_text(tmp_path / "bom.csv", text))
+    assert dates is None and got_names == names
+    assert cols[0].tolist() == values
 
 
 @pytest.mark.parametrize("name", sorted(ERROR_FILES))

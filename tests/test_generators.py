@@ -145,8 +145,11 @@ class TestGenerateArfima:
 
     def test_insufficient_noise(self):
         cfg = ArfimaConfig(d=0.3, length=100, burn_in=50, seed=0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError) as exc:
             generate_arfima(cfg, noise=TimeSeries(np.ones(100), "short"))
+        assert str(exc.value) == (
+            "need 150 noise values per stream (burn_in 50 + length 100), got 100"
+        )
 
     def test_memory_raises_variance(self):
         cfg = ArfimaConfig(d=0.45, length=4000, truncation=2000, burn_in=500, seed=4)
@@ -190,6 +193,18 @@ class TestGenerateTwoComponent:
         b = generate_two_component(cfg)
         np.testing.assert_array_equal(a[0].values, b[0].values)
         np.testing.assert_array_equal(a[1].values, b[1].values)
+
+    @pytest.mark.parametrize("eps_len, nu_len", [(119, 120), (120, 119), (200, 5)])
+    def test_insufficient_noise(self, eps_len, nu_len):
+        cfg = TwoComponentConfig(d1=0.3, d2=0.1, w=0.75, length=100, burn_in=20,
+                                 truncation=50)
+        noise = (TimeSeries(np.ones(eps_len), "eps"), TimeSeries(np.ones(nu_len), "nu"))
+        with pytest.raises(InsufficientDataError) as exc:
+            generate_two_component(cfg, noise=noise)
+        assert str(exc.value) == (
+            "need 120 noise values per stream (burn_in 20 + length 100), "
+            f"got {eps_len} and {nu_len}"
+        )
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -111,6 +111,15 @@ class TestLogReturns:
             log_returns(TimeSeries([1.0, -4.0], "p"))
 
 
+    def test_nonpositive_price_message_is_a_plain_number(self):
+        prices = TimeSeries([1.0, 2.0, 0.5, -1.303157231604361], "p")
+        with pytest.raises(DomainError) as exc:
+            log_returns(prices)
+        assert str(exc.value) == (
+            "prices 'p' must be strictly positive; value -1.303157231604361 at index 3"
+        )
+
+
 class TestAbsoluteReturns:
     def test_hand_example(self):
         out = absolute_returns(TimeSeries([100.0, 110.0, 99.0], "p"))
@@ -155,6 +164,14 @@ class TestVolumeRelativeDeviation:
     def test_nonpositive_volume(self):
         with pytest.raises(DomainError, match="index 1"):
             volume_relative_deviation(TimeSeries([1.0, 0.0, 2.0, 1.0], "v"), 2)
+
+    def test_nonpositive_volume_message_is_a_plain_number(self):
+        volumes = TimeSeries([3.0, 1.5, -0.25, 2.0], "v")
+        with pytest.raises(DomainError) as exc:
+            volume_relative_deviation(volumes, 2)
+        assert str(exc.value) == (
+            "volumes 'v' must be strictly positive; value -0.25 at index 2"
+        )
 
     def test_bad_window(self):
         with pytest.raises(ParameterError):
