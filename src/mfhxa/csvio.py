@@ -91,30 +91,28 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
         lines = [line if "\t" in line else line.replace(",", "\t") for line in lines]
     n = len(lines)
     if [line.count(sep) for line in lines].count(ncols - 1) != n:
-        raise next(_line_errors(path, body, lines, sep, ncols, first_num))
+        raise _line_error(path, body, lines, sep, ncols, first_num)
     cells = list(map(str.strip, sep.join(lines).split(sep)))
     try:
         cols = [np.fromiter(map(float, cells[j::ncols]), float, n)
                 for j in range(first_num, ncols)]
     except ValueError:
-        raise next(_line_errors(path, body, lines, sep, ncols, first_num)) from None
+        raise _line_error(path, body, lines, sep, ncols, first_num) from None
     dates = cells[0::ncols] if has_dates else None
     return dates, cols, names
 
 
-def _line_errors(path, body, lines, sep, ncols, first_num):
-    """CsvFormatError for each bad data line, in file order."""
+def _line_error(path, body, lines, sep, ncols, first_num) -> CsvFormatError:
+    """The CsvFormatError of the first bad data line."""
     for index, line in zip(body, lines):
         cells = [c.strip() for c in line.split(sep)]
         if len(cells) != ncols:
-            yield CsvFormatError(
+            return CsvFormatError(
                 f"{path}:{index + 1}: expected {ncols} fields, got {len(cells)}"
             )
-            continue
         for cell in cells[first_num:]:
             if not _is_number(cell):
-                yield CsvFormatError(f"{path}:{index + 1}: non-numeric value {cell!r}")
-                break
+                return CsvFormatError(f"{path}:{index + 1}: non-numeric value {cell!r}")
 
 
 def read_series(path, column: int = 1) -> TimeSeries:

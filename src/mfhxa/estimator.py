@@ -21,10 +21,10 @@ the block's detrended increments, and its powers walk the q grid once, giving
 K_xy, K_xx, K_yy and, with split=True, the product and covariance terms, which
 `PairMoments.decomposition` turns into a `ScalingDecomposition`. Every least
 squares fit (each (q, tau_max) slope with its R^2, and alpha) is one pass of
-prefix sums in `_window_slopes`, and every jackknife estimate (of a curve, a
-verdict or `jackknife_hurst`) comes from `_jackknife_rows`, which fits only the
-grid taus within the config's taus. A curve holds one result per q of its
-grid, in order: the estimate, or that q's failure note.
+prefix sums in `_window_slopes`, which alone picks the taus a fit uses, and
+every jackknife estimate (of a curve, a verdict or `jackknife_hurst`) comes
+from `_jackknife_rows`. A curve holds one result per q of its grid, in order:
+the estimate, or that q's failure note.
 """
 
 from __future__ import annotations
@@ -225,13 +225,15 @@ class HeightCovarianceGrid:
         if np.any(k < 0) or not np.all(np.isfinite(k)):
             raise ParameterError("covariance grid entries must be finite and >= 0")
         qs = tuple(float(q) for q in self.q_values)
-        if any(b <= a for a, b in zip(qs, qs[1:])):
-            raise ParameterError(f"grid q values must be strictly increasing, got {qs}")
+        taus = tuple(_integer("tau", t, 1) for t in self.tau_values)
+        for what, v in (("q values", qs), ("tau values", taus)):
+            if any(b <= a for a, b in zip(v, v[1:])):
+                raise ParameterError(f"grid {what} must be strictly increasing, got {v}")
         k = k.copy()
         k.setflags(write=False)
         object.__setattr__(self, "k_matrix", k)
         object.__setattr__(self, "q_values", qs)
-        object.__setattr__(self, "tau_values", tuple(int(t) for t in self.tau_values))
+        object.__setattr__(self, "tau_values", taus)
 
     def q_index(self, q: float) -> int:
         for i, qi in enumerate(self.q_values):
@@ -353,7 +355,7 @@ class PairMoments:
         positive = tuple(t for t in taus if covariance[t] > 0.0)
         slopes, fit_r2, failures = _window_slopes(
             positive, np.array([[covariance[t] for t in positive]]), (q,), (taus[-1],),
-            self.config.min_fit_points)
+            self.config)
         alpha = r_squared = None
         if failures[0] is None:
             r_squared = float(fit_r2[0, 0])
@@ -414,39 +416,38 @@ def covariance_grid(
     return pair_moments(x, y, config).grid("xy")
 
 
-def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, min_fit_points: int):
-    """OLS fit of log K on log tau over each window tau <= tau_max, per row of k.
+def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, config: EstimationConfig):
+    """OLS fit of log K on log tau over each window tau_min..tau_max, per row of k.
 
-    The windows are nested, so after sorting by tau every window is a prefix
-    and one pass of prefix sums of the centred logs gives all (row, window)
-    slopes and their R^2 (1.0 when log K is constant over the window).
-    tau_maxes must be increasing. Returns (slopes, r_squared, failures): the
-    first two have shape (rows, windows); failures[i] is None, or (tau_max,
-    error) for the first window in which row i cannot be fitted, with the
-    error a per-window fit raises there: too few taus, or a zero K.
+    taus must be strictly increasing, as a grid's are; only the columns from
+    config.tau_min up to the last tau_max are fitted. The windows are nested
+    prefixes, so one pass of prefix sums of the centred logs gives all (row,
+    window) slopes and their R^2 (1.0 when log K is constant over the
+    window). tau_maxes must be increasing. Returns (slopes, r_squared,
+    failures): the first two have shape (rows, windows); failures[i] is None,
+    or (tau_max, error) for the first window in which row i cannot be fitted,
+    with the error a per-window fit raises there: too few taus, or a zero K.
     """
-    t = np.asarray(taus, dtype=float)
-    order = np.argsort(t, kind="stable")
-    ts, ks = t[order], k[:, order]
+    t = np.asarray(taus)
     tm = np.asarray(tau_maxes)
+    fitted = (t >= config.tau_min) & (t <= tm[-1])
+    ts, ks = t[fitted].astype(float), k[:, fitted]
     counts = np.searchsorted(ts, tm, side="right")
-    if counts[0] < min_fit_points:
+    need = config.min_fit_points
+    if counts[0] < need:
         error = InsufficientPointsError(
-            f"{counts[0]} tau values available up to tau_max={tm[0]}, "
-            f"need {min_fit_points}"
+            f"{counts[0]} tau values available up to tau_max={tm[0]}, need {need}"
         )
         nan = np.full((ks.shape[0], tm.size), np.nan)
         return nan, nan, [(int(tm[0]), error)] * ks.shape[0]
 
     zero = ks <= 0
-    first_zero = np.where(zero.any(axis=1), ts[zero.argmax(axis=1)], np.inf)
-    hit = np.searchsorted(tm, first_zero)
+    j = zero.argmax(axis=1)
+    hit = np.searchsorted(tm, np.where(zero.any(axis=1), ts[j], np.inf))
     failures: list = [None] * ks.shape[0]
     for i in np.flatnonzero(hit < tm.size):
-        tau_max = int(tm[hit[i]])
-        j = np.flatnonzero((t <= tau_max) & (k[i] <= 0))[0]
-        failures[i] = (tau_max, DegenerateScalingError(
-            f"K(q={qs[i]:g}, tau={int(t[j])}) = 0: scaling function is "
+        failures[i] = (int(tm[hit[i]]), DegenerateScalingError(
+            f"K(q={qs[i]:g}, tau={int(ts[j[i]])}) = 0: scaling function is "
             "degenerate, no Hurst exponent exists"
         ))
 
@@ -473,7 +474,7 @@ def fit_hurst_single(grid: HeightCovarianceGrid, q: float, tau_max: int) -> floa
     """Slope of log K against log tau over tau_min..tau_max, divided by q."""
     i = grid.q_index(q)
     slopes, _, failures = _window_slopes(grid.tau_values, grid.k_matrix[i:i + 1], (q,),
-                                         (tau_max,), grid.config.min_fit_points)
+                                         (tau_max,), grid.config)
     if failures[0] is not None:
         raise failures[0][1]
     return float(slopes[0, 0]) / q
@@ -531,19 +532,15 @@ def _effective_dof(config: EstimationConfig, n: int) -> int:
 def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig) -> list:
     """Jackknife estimate of every row of k (row i at qs[i]) from one fit pass.
 
-    Only the columns whose tau lies in config.taus are fitted. Returns one
-    HurstEstimate per row, or the error that row's estimate raises, its
-    message prefixed with the tau_max of the failing window.
+    Returns one HurstEstimate per row, or the error that row's estimate
+    raises, its message prefixed with the tau_max of the failing window.
     """
     tau_maxes = config.tau_maxes
     if len(tau_maxes) == 1:
         return [ConfidenceUndefinedError(
             "confidence interval undefined for a single tau_max; widen tau_max_range"
         ) for _ in qs]
-    t, kept = np.asarray(taus), config.taus
-    fitted = (t >= kept.start) & (t < kept.stop)
-    slopes, _, failures = _window_slopes(t[fitted], k[:, fitted], qs, tau_maxes,
-                                         config.min_fit_points)
+    slopes, _, failures = _window_slopes(taus, k, qs, tau_maxes, config)
     hs = slopes / np.asarray(qs, dtype=float)[:, None]
     h = hs.mean(axis=1)
     dof = _effective_dof(config, len(tau_maxes))

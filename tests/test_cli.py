@@ -188,6 +188,10 @@ FIGURE_NAMES = ("fig1a, fig1b, fig1c, fig1d, fig1e, fig1f, fig1g, fig1h, "
      None, "generate: seed must be >= 0, got -1"),
     (["replicate", "fig1b", "seed=-3"], None, "replicate: seed must be >= 0, got -3"),
     (["estimate", "y=self"], None, "estimate: unknown parameter key(s): y"),
+    (["estimate"] + ["--in", str(FIXTURES / "market_prices.csv")] * 3, None,
+     "estimate: expected 1 or 2 --in PATH argument(s), got 3"),
+    (["transform", "abs-returns", "col=2", "--in", str(FIXTURES / "market_prices.csv")],
+     None, "transform: col=2 but input has 1 numeric column(s)"),
 ])
 def test_parameter_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
                                                env_seed, line):
@@ -198,6 +202,11 @@ def test_parameter_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, ar
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"mfhxa: {line}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_missing_out_exits_2_with_one_line(capsys):
+    assert main(ARFIMA + ["seed=1"]) == 2
+    assert capsys.readouterr().err == "mfhxa: generate: missing --out PATH\n"
 
 
 class TestTransform:

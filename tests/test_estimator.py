@@ -284,6 +284,46 @@ class TestCovarianceGrid:
             HeightCovarianceGrid(qs, range(1, 9), np.ones((2, 8)), "x", "y", cfg)
         assert str(info.value) == f"grid q values must be strictly increasing, got {qs}"
 
+    @pytest.mark.parametrize("taus, message", [
+        ((1.5, 2.7, 3.2), "tau must be an integer, got 1.5"),
+        ((0, 1, 2), "tau must be >= 1, got 0"),
+        ((1, 3, 2), "grid tau values must be strictly increasing, got (1, 3, 2)"),
+        ((1, 2, 2), "grid tau values must be strictly increasing, got (1, 2, 2)"),
+    ])
+    def test_taus_must_be_strictly_increasing_integers(self, taus, message):
+        cfg = EstimationConfig(q_grid=(1.0,), tau_max_range=(2, 3))
+        with pytest.raises(ParameterError) as info:
+            HeightCovarianceGrid((1.0,), taus, np.ones((1, 3)), "x", "y", cfg)
+        assert str(info.value) == message
+
+    def test_numpy_integer_taus_are_kept_as_ints(self):
+        cfg = EstimationConfig(q_grid=(1.0,), tau_max_range=(2, 3))
+        g = HeightCovarianceGrid((1.0,), np.arange(1, 4), np.ones((1, 3)), "x", "y", cfg)
+        assert g.tau_values == (1, 2, 3)
+        assert all(type(t) is int for t in g.tau_values)
+
+    def test_k_matrix_must_match_the_lattice(self):
+        cfg = EstimationConfig(q_grid=(1.0, 2.0), tau_max_range=(4, 8))
+        with pytest.raises(ParameterError) as info:
+            HeightCovarianceGrid((1.0, 2.0), range(1, 9), np.ones((2, 7)), "x", "y", cfg)
+        assert str(info.value) == "k_matrix shape (2, 7) does not match 2 q values x 8 tau values"
+
+    @pytest.mark.parametrize("bad", [math.inf, -1.0])
+    def test_k_must_be_finite_and_non_negative(self, bad):
+        cfg = EstimationConfig(q_grid=(1.0,), tau_max_range=(4, 8))
+        k = np.ones((1, 8))
+        k[0, 3] = bad
+        with pytest.raises(ParameterError) as info:
+            HeightCovarianceGrid((1.0,), range(1, 9), k, "x", "y", cfg)
+        assert str(info.value) == "covariance grid entries must be finite and >= 0"
+
+    def test_value_at_an_off_grid_tau(self):
+        cfg = EstimationConfig(q_grid=(2.0,), tau_max_range=(4, 8))
+        g = power_law_grid((2.0,), range(1, 9), 1.0, 0.5, cfg)
+        with pytest.raises(ParameterError) as info:
+            g.value(2.0, 99)
+        assert str(info.value) == "tau=99 is not on the grid"
+
 
 def power_law_grid(q_grid, taus, amplitude, h0, config):
     k = np.array([[amplitude * t ** (q * h0) for t in taus] for q in q_grid])
@@ -321,6 +361,18 @@ class TestFitHurst:
         g = power_law_grid((2.0,), range(1, 9), 1.0, 0.5, cfg)
         with pytest.raises(ParameterError):
             fit_hurst_single(g, 3.0, 8)
+
+    def test_fit_starts_at_the_config_tau_min(self):
+        # at q = 2, log K bends at tau = 5: H = 0.3 below it, 0.8 from there on
+        taus = range(1, 21)
+        k = np.array([[t ** 0.6 if t < 5 else 5 ** 0.6 * (t / 5) ** 1.6 for t in taus]])
+        cfg = EstimationConfig(q_grid=(2.0,), tau_min=5, tau_max_range=(8, 20))
+        g = HeightCovarianceGrid((2.0,), taus, k, "x", "y", cfg)
+        assert fit_hurst_single(g, 2.0, 20) == pytest.approx(0.8, abs=1e-12)
+        per_tau_max = dict(jackknife_hurst(g, 2.0, cfg).per_tau_max)
+        assert fit_hurst_single(g, 2.0, 20) == per_tau_max[20]
+        for tau_max, h in per_tau_max.items():
+            assert fit_hurst_single(g, 2.0, tau_max) == pytest.approx(h, abs=1e-12)
 
 
 class TestJackknife:
@@ -385,6 +437,19 @@ class TestJackknife:
         assert wide.tau_values[0] == 1 and narrow.tau_values[0] == 4
         assert jackknife_hurst(wide, 2.0, from_4) == jackknife_hurst(narrow, 2.0, from_4)
         assert jackknife_hurst(wide, 2.0, from_4) != jackknife_hurst(wide, 2.0, from_1)
+
+    def test_estimate_outside_its_interval_is_refused(self):
+        with pytest.raises(ParameterError) as info:
+            HurstEstimate(2.0, 0.5, 0.6, 0.7, ())
+        assert str(info.value) == "invalid interval: 0.6 <= 0.5 <= 0.7 fails"
+
+    def test_curve_has_no_estimate_at_an_off_grid_q(self):
+        cfg = EstimationConfig(q_grid=(1.0, 2.0), tau_max_range=(4, 8))
+        curve = hurst_curve_from_grid(power_law_grid((1.0, 2.0), range(1, 9), 1.0, 0.5, cfg))
+        assert curve.estimate(2.0).q == 2.0
+        with pytest.raises(ParameterError) as info:
+            curve.estimate(1.5)
+        assert str(info.value) == "no estimate at q=1.5"
 
     def test_fit_error_names_tau_max(self):
         cfg = EstimationConfig(q_grid=(1.0,), tau_max_range=(4, 8))

@@ -123,6 +123,12 @@ class TestCorrelatedNoisePair:
 
 
 class TestGenerateArfima:
+    @pytest.mark.parametrize("d", [0.0, 0.5])
+    def test_d_outside_the_open_interval(self, d):
+        with pytest.raises(ParameterError) as exc:
+            ArfimaConfig(d=d, length=100)
+        assert str(exc.value) == f"d must lie in (0, 0.5), got {d}"
+
     def test_vanishing_d_returns_noise(self):
         cfg = ArfimaConfig(d=1e-9, length=500, truncation=100, burn_in=0, seed=3)
         noise = TimeSeries(np.random.default_rng(3).standard_normal(500), "eps")

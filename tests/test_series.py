@@ -36,6 +36,11 @@ class TestTimeSeries:
         with pytest.raises(InsufficientDataError):
             TimeSeries([], "empty")
 
+    def test_rejects_two_dimensions(self):
+        with pytest.raises(ParameterError) as exc:
+            TimeSeries([[1.0, 2.0], [3.0, 4.0]], "grid")
+        assert str(exc.value) == "series 'grid' must be one-dimensional, got shape (2, 2)"
+
     def test_values_are_read_only(self):
         s = TimeSeries([1.0, 2.0], "s")
         with pytest.raises(ValueError):
@@ -110,6 +115,11 @@ class TestLogReturns:
         with pytest.raises(DomainError):
             log_returns(TimeSeries([1.0, -4.0], "p"))
 
+
+    def test_one_price_has_no_return(self):
+        with pytest.raises(InsufficientDataError) as exc:
+            log_returns(TimeSeries([100.0], "p"))
+        assert str(exc.value) == "need at least 2 prices, got 1"
 
     def test_nonpositive_price_message_is_a_plain_number(self):
         prices = TimeSeries([1.0, 2.0, 0.5, -1.303157231604361], "p")

@@ -5,6 +5,8 @@ import pytest
 
 from mfhxa import (
     EstimationConfig,
+    GeneralizedHurstCurve,
+    HurstEstimate,
     ParameterError,
     TimeSeries,
     covariance_grid,
@@ -81,6 +83,33 @@ def test_pair_curves_must_share_one_q_grid(tmp_path, walk_pair):
     write_pair_curves(out, xy, xx, yy)
     _, header, rows = parse(out)
     assert [float(r[0]) for r in rows] == [1.0, 2.0]
+
+
+def test_pair_curve_rows_note_each_failed_univariate_curve(tmp_path):
+    cfg = EstimationConfig(q_grid=(1.0, 2.0, 3.0), tau_max_range=(4, 8))
+    qs = cfg.q_grid
+
+    def curve(results, label):
+        return GeneralizedHurstCurve(qs, tuple(results), label, label, cfg)
+
+    def est(q, h):
+        return HurstEstimate(q, h, h - 0.125, h + 0.125, ((4, h), (8, h)))
+
+    x_failed = "tau_max=4: K(q=1, tau=2) = 0: scaling function is degenerate, " \
+               "no Hurst exponent exists"
+    y_failed = "tau_max=4: 2 tau values available up to tau_max=4, need 3"
+    xy = curve([est(q, 0.5) for q in qs], "x")
+    xx = curve([x_failed, est(2.0, 0.75), est(3.0, 0.75)], "x")
+    yy = curve([est(1.0, 0.25), est(2.0, 0.25), y_failed], "y")
+    out = tmp_path / "pair.tsv"
+    write_pair_curves(out, xy, xx, yy)
+    _, header, rows = parse(out)
+    assert header == ["q", "h_x", "h_y", "h_xy", "ci_low", "ci_high", "h_avg", "n", "note"]
+    assert rows == [
+        ["1", "NA", "0.25", "0.5", "0.375", "0.625", "NA", "2", f"x: {x_failed}"],
+        ["2", "0.75", "0.25", "0.5", "0.375", "0.625", "0.5", "2", "ok"],
+        ["3", "0.75", "NA", "0.5", "0.375", "0.625", "NA", "2", f"y: {y_failed}"],
+    ]
 
 
 def test_decomposition_table_layout(tmp_path, walk_pair):
