@@ -312,6 +312,13 @@ def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
         confidence=params.number("confidence", base.confidence),
     )
     params.reject_unknown()
+    # a first window too short to fit would fail every q after the whole grid ran
+    fitted = config.tau_max_range[0] - config.tau_min + 1
+    if fitted < config.min_fit_points:
+        raise ParameterError(
+            f"tau_min={config.tau_min} leaves {fitted} taus up to the smallest tau_max="
+            f"{config.tau_max_range[0]}, need min_fit_points={config.min_fit_points}"
+        )
 
     paths = _require_inputs(inputs, 1, 2)
     x, y = _read_pair(paths, source)

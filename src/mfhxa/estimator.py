@@ -204,6 +204,13 @@ def height_covariance(
     return float(np.mean(p ** (0.5 * q)))
 
 
+def _checked_k(k: np.ndarray) -> np.ndarray:
+    """k, refused unless every scaling-function value in it is finite and >= 0."""
+    if np.any(k < 0) or not np.all(np.isfinite(k)):
+        raise ParameterError("covariance grid entries must be finite and >= 0")
+    return k
+
+
 @dataclass(frozen=True)
 class HeightCovarianceGrid:
     """Scaling-function values over the (q, tau) lattice for one series pair."""
@@ -222,14 +229,12 @@ class HeightCovarianceGrid:
                 f"k_matrix shape {k.shape} does not match "
                 f"{len(self.q_values)} q values x {len(self.tau_values)} tau values"
             )
-        if np.any(k < 0) or not np.all(np.isfinite(k)):
-            raise ParameterError("covariance grid entries must be finite and >= 0")
+        k = _checked_k(k).copy()
         qs = tuple(float(q) for q in self.q_values)
         taus = tuple(_integer("tau", t, 1) for t in self.tau_values)
         for what, v in (("q values", qs), ("tau values", taus)):
             if any(b <= a for a, b in zip(v, v[1:])):
                 raise ParameterError(f"grid {what} must be strictly increasing, got {v}")
-        k = k.copy()
         k.setflags(write=False)
         object.__setattr__(self, "k_matrix", k)
         object.__setattr__(self, "q_values", qs)
@@ -251,14 +256,6 @@ class HeightCovarianceGrid:
         except ValueError:
             raise ParameterError(f"tau={tau} is not on the grid") from None
         return float(self.k_matrix[self.q_index(q), j])
-
-
-def _ladder_step(q: np.ndarray) -> float | None:
-    """The spacing of a uniform grid of at least 8 q, else None."""
-    d = np.diff(q)
-    if q.size >= 8 and np.all(np.abs(d - d[0]) < 1e-12):
-        return float(d[0])
-    return None
 
 
 # a ** e for the exponents of the calibration grid (q = 0.5, 1, 2 and 5),
@@ -287,26 +284,24 @@ def _power(a: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray
     return np.power(a, e, out=o) if build is None else build(a, o)
 
 
-def _powers(a: np.ndarray, q: np.ndarray, step: float | None, space):
-    """Yield the rows of a^(q/2), a tuple of row views, for each q in order.
+def _powers(a: np.ndarray, q: np.ndarray, step: float | None, spare: np.ndarray):
+    """Yield the rows of a^(q/2), one tuple of row views, for each q in order.
 
-    Uniform grids walk a ladder, one multiplication of the block per q; other
-    grids take each power directly, and a single q powers a in place. The
-    powers and the ladder's step go into the two buffers of `space`, which
-    every tau of a pass reuses; the ladder's row views are made once.
+    A single q, and the first q of a uniform grid, are powered in place in a.
+    The uniform grid then walks a ladder, one multiplication of a by
+    a^(step/2) per q, that step power built in spare before a is overwritten;
+    other grids keep a and write each direct power into spare. Every tau of a
+    pass reuses spare, and a single q never touches it.
     """
-    if step is None:
-        out = a if q.size == 1 else _leading(space[0], a.shape)
-        for qi in q:
-            yield tuple(_power(a, 0.5 * qi, out))
-        return
-    p = _power(a, 0.5 * q[0], _leading(space[0], a.shape))
-    s = _power(a, 0.5 * step, _leading(space[1], a.shape))
-    rows = tuple(p)
-    for i in range(q.size):
+    out = a if step is not None or q.size == 1 else _leading(spare, a.shape)
+    s = None if step is None else _power(a, 0.5 * step, _leading(spare, a.shape))
+    rows = tuple(out)
+    for i, qi in enumerate(q):
+        if s is not None and i:
+            np.multiply(out, s, out=out)
+        else:
+            _power(a, 0.5 * qi, out)
         yield rows
-        if i + 1 < q.size:
-            np.multiply(p, s, out=p)
 
 
 @dataclass(frozen=True)
@@ -381,12 +376,13 @@ def pair_moments(
     taus = tuple(config.taus)
     _check_pair(x, y, taus[-1])
     q = np.asarray(config.q_grid)
-    step = _ladder_step(q)
+    dq = np.diff(q)  # a uniform grid of at least 8 q walks the power ladder
+    step = float(dq[0]) if q.size >= 8 and np.all(np.abs(dq - dq[0]) < 1e-12) else None
     series = [x.values] if y is x else [x.values, y.values]
-    # the block, its work space and the powers' two arrays share one
+    # the block, its work space and the powers' spare array share one
     # allocation: as separate arrays they were page-faulted afresh on every
     # call (the powers on every tau)
-    block, work, *space = np.empty((4, len(series), len(x)))
+    block, work, spare = np.empty((3, len(series), len(x)))
     np.stack(series, out=block)
     shape = (q.size, len(taus))
     # k[r, s] = <p[r], p[s]>/n for each pair of block rows r <= s
@@ -398,7 +394,7 @@ def pair_moments(
         d = _filtered_increments(block, tau, config.filter, work)
         np.abs(d, out=d)
         n = d.shape[1]
-        for i, p in enumerate(_powers(d, q, step, space)):
+        for i, p in enumerate(_powers(d, q, step, spare)):
             for r, s in pairs:
                 k[r, s, i, j] = np.dot(p[r], p[s]) / n
             if split:
@@ -713,8 +709,7 @@ def cross_persistence_verdict(
     """
     sub = dataclasses.replace(config, q_grid=(float(q),))
     moments = pair_moments(x, y, sub)
-    # through the grids, which reject non-finite K as covariance_grid does
-    k = np.vstack([moments.grid(which).k_matrix for which in ("xy", "xx", "yy")])
+    k = _checked_k(np.vstack((moments.k_xy, moments.k_xx, moments.k_yy)))
     results = _jackknife_rows(tuple(sub.taus), k, (q, q, q), sub)
     for result in results:
         if isinstance(result, MfhxaError):

@@ -677,6 +677,19 @@ def test_short_header_exits_2_with_its_line_number(tmp_path, capsys):
     assert f"{src}:1: header has 1 fields, data rows have 2" in capsys.readouterr().err
 
 
+def test_estimate_with_too_short_a_first_window_exits_2_before_reading(tmp_path, capsys,
+                                                                       monkeypatch):
+    # tau 3..5 is 3 taus, fewer than the 4 min_fit_points of the real preset
+    read = []
+    monkeypatch.setattr(mfhxa.cli, "_read_pair", lambda *a: read.append(a))
+    code = main(["estimate", "preset=real", "tau_min=3",
+                 "--in", str(FIXTURES / "market_prices.csv"), "--out", str(tmp_path / "m")])
+    assert code == 2
+    assert capsys.readouterr().err == ("mfhxa: estimate: tau_min=3 leaves 3 taus up to the "
+                                       "smallest tau_max=5, need min_fit_points=4\n")
+    assert read == [] and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key", ["x_col", "y_col"])
 def test_estimate_missing_column_exits_2(tmp_path, capsys, key):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -567,6 +567,16 @@ class TestVerdict:
         assert v1.h_avg == pytest.approx(v2.h_avg, abs=1e-9)
         assert v1.deviates == v2.deviates
 
+    def test_non_finite_k_is_refused_as_a_grid_refuses_it(self):
+        rng = np.random.default_rng(12)
+        x = series(1e200 * rng.standard_normal(500).cumsum(), "x")
+        y = series(rng.standard_normal(500).cumsum(), "y")
+        cfg = EstimationConfig(q_grid=(2.0,), tau_max_range=(5, 20))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ParameterError) as info:
+                cross_persistence_verdict(x, y, 2.0, cfg)
+        assert str(info.value) == "covariance grid entries must be finite and >= 0"
+
 
 class TestKnownProcesses:
     def test_single_window_fit_recovers_arfima_exponent(self):

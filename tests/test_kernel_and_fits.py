@@ -248,6 +248,51 @@ def test_one_q_kernel_matches_direct_summation(filt, q):
         assert np.array_equal(getattr(last, key), getattr(first, key)), key
 
 
+@pytest.mark.parametrize("filt", FILTERS)
+@pytest.mark.parametrize("self_pair", [False, True], ids=["pair", "self-pair"])
+def test_grid_rows_equal_one_q_passes(filt, self_pair):
+    # an uneven grid takes every power directly, so each of its rows is the
+    # one-q pass at that q; a ladder's first row is its first q's power
+    x, y = walk_pair(6, n=600)
+    y = x if self_pair else y
+    for qs, compared in ((UNEVEN_QS, UNEVEN_QS), (UNIFORM_QS, UNIFORM_QS[:1])):
+        cfg = EstimationConfig(q_grid=qs, tau_max_range=(5, 25), filter=filt)
+        grid = pair_moments(x, y, cfg, split=True)
+        for i, q in enumerate(compared):
+            one = EstimationConfig(q_grid=(q,), tau_max_range=(5, 25), filter=filt)
+            alone = pair_moments(x, y, one, split=True)
+            for key in ("k_xy", "k_xx", "k_yy", "product", "covariance"):
+                assert np.array_equal(getattr(grid, key)[i], getattr(alone, key)[0]), (q, key)
+
+
+@pytest.mark.parametrize("filt", FILTERS)
+@pytest.mark.parametrize("self_pair", [False, True], ids=["pair", "self-pair"])
+def test_ladder_and_uneven_passes_back_to_back_keep_no_state(filt, self_pair):
+    # the spare array is allocated per pass: passes over pairs of different
+    # length, alternating between the ladder and direct powers, each see only
+    # their own increments
+    rng = np.random.default_rng(23)
+    pairs = []
+    for n in (400, 257):
+        x = rng.standard_normal(n).cumsum()
+        y = x if self_pair else -0.3 * x + rng.standard_normal(n).cumsum()
+        pairs.append((x, y))
+    for x, y in pairs + pairs[::-1]:
+        tx = TimeSeries(x, "x")
+        ty = tx if self_pair else TimeSeries(y, "y")
+        for qs in (UNIFORM_QS, UNEVEN_QS):
+            cfg = EstimationConfig(q_grid=qs, tau_max_range=(5, 25), filter=filt)
+            m = pair_moments(tx, ty, cfg, split=True)
+            for i, q in enumerate(qs):
+                for j, tau in enumerate(cfg.taus):
+                    want = direct_moments(x, y, q, tau, filt)
+                    for key in ("k_xy", "k_xx", "k_yy", "product"):
+                        got = getattr(m, key)[i, j]
+                        assert close(got, want[key]), (x.size, key, q, tau, got, want[key])
+                    scale = max(want["k_xy"], want["product"])
+                    assert close(m.covariance[i, j], want["covariance"], scale=scale)
+
+
 def test_split_terms_sum_to_k():
     x, y = walk_pair(4, rho=-0.3, n=2_000)
     cfg = EstimationConfig(q_grid=UNIFORM_QS, tau_max_range=(5, 40))
