@@ -58,10 +58,6 @@ from .tables import write_curve, write_decomposition, write_grid, write_pair_cur
 GENERATORS = {"mbm": MbmConfig, "arfima": ArfimaConfig, "arfima-pair": ArfimaConfig,
               "two-component": TwoComponentConfig}
 TRANSFORMS = ("log-returns", "abs-returns", "volume-deviation")
-FIGURES = (
-    "fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f", "fig1g", "fig1h",
-    "fig2a", "fig2b", "fig2c", "fig2d",
-)
 
 
 class Params:
@@ -270,15 +266,32 @@ def cmd_transform(name: str, params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- estimate
 
-def _pair_source(params: Params, n_inputs: int) -> dict:
-    """input, x_col and y_col of estimate and decompose, keyed as in the manifest.
+def _pair_config(params: Params, n_inputs: int, base: EstimationConfig,
+                 **given) -> tuple[EstimationConfig, dict]:
+    """(config, source) of estimate and decompose, refused before any input is read.
 
-    y_col defaults to x_col with one input and to 1 with two.
+    source holds input, x_col and y_col, keyed as in the manifest; y_col
+    defaults to x_col with one input and to 1 with two. config is base with
+    the given fields and the tau_min, filter and min_fit_points keys applied.
     """
     mode = params.string("input", "levels", choices=("levels", "increments"))
     x_col = params.integer("x_col", 1)
     y_col = params.integer("y_col", x_col if n_inputs == 1 else 1)
-    return {"input": mode, "x_col": x_col, "y_col": y_col}
+    config = dataclasses.replace(
+        base, **given,
+        tau_min=params.integer("tau_min", base.tau_min),
+        filter=params.string("filter", base.filter, choices=FILTERS),
+        min_fit_points=params.integer("min_fit_points", base.min_fit_points),
+    )
+    params.reject_unknown()
+    # a first window too short to fit would fail every q after the whole pass ran
+    fitted = config.tau_max_range[0] - config.tau_min + 1
+    if fitted < config.min_fit_points:
+        raise ParameterError(
+            f"tau_min={config.tau_min} leaves {fitted} taus up to the smallest tau_max="
+            f"{config.tau_max_range[0]}, need min_fit_points={config.min_fit_points}"
+        )
+    return config, {"input": mode, "x_col": x_col, "y_col": y_col}
 
 
 def _read_pair(paths: list[Path], source: dict):
@@ -298,28 +311,15 @@ def _read_pair(paths: list[Path], source: dict):
 def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
     out_prefix = _require_out(out)
     preset = params.string("preset", "synthetic", choices=("synthetic", "real"))
-    source = _pair_source(params, len(inputs))
     base = synthetic_preset() if preset == "synthetic" else real_preset()
-    config = dataclasses.replace(
-        base,
+    config, source = _pair_config(
+        params, len(inputs), base,
         q_grid=q_range(params.number("q_min", base.q_grid[0]),
                        params.number("q_max", base.q_grid[-1]),
                        params.number("q_step", Q_STEP)),
-        tau_min=params.integer("tau_min", base.tau_min),
         tau_max_range=params.tau_range("tau_max", base.tau_max_range),
-        filter=params.string("filter", base.filter, choices=FILTERS),
-        min_fit_points=params.integer("min_fit_points", base.min_fit_points),
         confidence=params.number("confidence", base.confidence),
     )
-    params.reject_unknown()
-    # a first window too short to fit would fail every q after the whole grid ran
-    fitted = config.tau_max_range[0] - config.tau_min + 1
-    if fitted < config.min_fit_points:
-        raise ParameterError(
-            f"tau_min={config.tau_min} leaves {fitted} taus up to the smallest tau_max="
-            f"{config.tau_max_range[0]}, need min_fit_points={config.min_fit_points}"
-        )
-
     paths = _require_inputs(inputs, 1, 2)
     x, y = _read_pair(paths, source)
     self_pair = y is x
@@ -346,21 +346,14 @@ def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
 def cmd_decompose(_name: None, params: Params, inputs, out) -> int:
     out_path = _require_out(out)
     q = params.number("q")
-    tau_min = params.integer("tau_min", EstimationConfig.tau_min)
-    tau_hi = params.integer("tau_max", 20)
-    filt = params.string("filter", EstimationConfig.filter, choices=FILTERS)
-    min_fit_points = params.integer("min_fit_points", EstimationConfig.min_fit_points)
-    source = _pair_source(params, len(inputs))
-    params.reject_unknown()
+    tau_max = params.integer("tau_max", FIG2_CONFIG.tau_max_range[-1])
+    config, source = _pair_config(params, len(inputs), FIG2_CONFIG, q_grid=(q,),
+                                  tau_max_range=(tau_max, tau_max))
     paths = _require_inputs(inputs, 1, 2)
-    config = EstimationConfig(
-        q_grid=(q,), tau_min=tau_min, tau_max_range=(tau_hi, tau_hi),
-        filter=filt, min_fit_points=min_fit_points,
-    )
     x, y = _read_pair(paths, source)
     # q is written once, by write_decomposition
-    meta = {"tau_min": tau_min, "tau_max": tau_hi, "filter": filt,
-            "min_fit_points": min_fit_points, **source}
+    meta = {"tau_min": config.tau_min, "tau_max": config.tau_max_range[0],
+            "filter": config.filter, "min_fit_points": config.min_fit_points, **source}
     write_decomposition(out_path, pair_moments(x, y, config, split=True),
                         manifest("decompose", meta, paths))
     return 0
@@ -387,34 +380,36 @@ def _two_component_profiles(w: float, seed: int) -> tuple[TimeSeries, TimeSeries
     return accumulate(x), accumulate(y)
 
 
+CASCADE_PANELS = ("fig1a", "fig2a")  # the unseeded multifractal-cascade pair
 RHO_PANELS = {"fig1b": (1.0,), "fig1c": (0.5,), "fig1d": (0.0,), "fig1e": (-0.5,),
               "fig1f": (-1.0,), "fig2b": (1.0, 0.5, -0.5, -1.0)}
 W_PANELS = {"fig1g": 0.75, "fig1h": 0.5, "fig2c": 0.75, "fig2d": 0.5}
+FIGURES = tuple(sorted({*CASCADE_PANELS, *RHO_PANELS, *W_PANELS}))
+# the fig2 panels' config, and the defaults of decompose
 FIG2_CONFIG = EstimationConfig(q_grid=(2.0,), tau_max_range=(20, 20))
 
 
 def _panel_pairs(figure: str, seed):
     """(file name suffix, x, y, manifest parameters) for each pair of a figure."""
-    if figure in RHO_PANELS:
+    if figure in CASCADE_PANELS:
+        yield ("", *_mbm_pair(), {"process": "mbm", "m0_x": 0.3, "m0_y": 0.4, "k": 16})
+    elif figure in RHO_PANELS:
         for rho in RHO_PANELS[figure]:
             suffix = f"_rho_{format_number(rho)}" if figure == "fig2b" else ""
             yield (suffix, *_arfima_profiles(rho, seed),
                    {"process": "arfima-pair", "d_x": 0.3, "d_y": 0.1, "rho": rho,
                     "length": 10000, "seed": seed})
-    elif figure in W_PANELS:
+    else:
         w = W_PANELS[figure]
         yield ("", *_two_component_profiles(w, seed),
                {"process": "two-component", "d1": 0.3, "d2": 0.3, "w": w,
                 "length": 10000, "seed": seed})
-    else:  # fig1a / fig2a
-        yield ("", *_mbm_pair(), {"process": "mbm", "m0_x": 0.3, "m0_y": 0.4, "k": 16})
 
 
 def cmd_replicate(figure: str, params: Params, inputs, out) -> int:
     outdir = _require_out(out)
     _require_inputs(inputs, 0, 0)
-    needs_seed = figure not in ("fig1a", "fig2a")
-    seed = params.seed() if needs_seed else None
+    seed = None if figure in CASCADE_PANELS else params.seed()
     params.reject_unknown()
     pairs = list(_panel_pairs(figure, seed))  # a failing figure leaves no directory
     outdir.mkdir(parents=True, exist_ok=True)

@@ -389,6 +389,17 @@ class TestDecompose:
         rows2 = [l for l in out2.read_text().splitlines() if not l.startswith("#")]
         assert rows1 == rows2
 
+    def test_defaults_are_the_fig2_panels_config(self, tmp_path):
+        # README: tau_min 1, tau_max 20, filter constant, min_fit_points 4
+        src = tmp_path / "x.csv"
+        write_levels_csv(src, np.random.default_rng(5).standard_normal(200).cumsum())
+        out = tmp_path / "dec.tsv"
+        assert main(["decompose", "q=2", "--in", str(src), "--out", str(out)]) == 0
+        comments, header, rows = read_numeric(out)
+        for line in ("tau_min=1", "tau_max=20", "filter=constant", "min_fit_points=4"):
+            assert f"# {line}" in comments
+        assert [int(row[0]) for row in rows] == list(range(1, 21))
+
 
 class TestReplicate:
     def test_unknown_figure_lists_valid_ids(self, tmp_path, capsys):
@@ -677,16 +688,25 @@ def test_short_header_exits_2_with_its_line_number(tmp_path, capsys):
     assert f"{src}:1: header has 1 fields, data rows have 2" in capsys.readouterr().err
 
 
-def test_estimate_with_too_short_a_first_window_exits_2_before_reading(tmp_path, capsys,
-                                                                       monkeypatch):
+@pytest.mark.parametrize("command, expected", [
     # tau 3..5 is 3 taus, fewer than the 4 min_fit_points of the real preset
+    (["estimate", "preset=real", "tau_min=3"],
+     "mfhxa: estimate: tau_min=3 leaves 3 taus up to the smallest tau_max=5, "
+     "need min_fit_points=4\n"),
+    # tau 18..20 is 3 taus, fewer than decompose's default 4 min_fit_points
+    (["decompose", "q=2", "tau_min=18", "tau_max=20"],
+     "mfhxa: decompose: tau_min=18 leaves 3 taus up to the smallest tau_max=20, "
+     "need min_fit_points=4\n"),
+], ids=["estimate", "decompose"])
+def test_estimate_with_too_short_a_first_window_exits_2_before_reading(tmp_path, capsys,
+                                                                       monkeypatch, command,
+                                                                       expected):
     read = []
     monkeypatch.setattr(mfhxa.cli, "_read_pair", lambda *a: read.append(a))
-    code = main(["estimate", "preset=real", "tau_min=3",
-                 "--in", str(FIXTURES / "market_prices.csv"), "--out", str(tmp_path / "m")])
+    code = main([*command, "--in", str(FIXTURES / "market_prices.csv"),
+                 "--out", str(tmp_path / "m")])
     assert code == 2
-    assert capsys.readouterr().err == ("mfhxa: estimate: tau_min=3 leaves 3 taus up to the "
-                                       "smallest tau_max=5, need min_fit_points=4\n")
+    assert capsys.readouterr().err == expected
     assert read == [] and list(tmp_path.iterdir()) == []
 
 

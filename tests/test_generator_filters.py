@@ -8,6 +8,8 @@ agreement to 1e-12 relative to the largest value, and check causality,
 prefix stability and linearity, which catch FFT wrap-around and aliasing.
 """
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,3 +255,17 @@ def test_output_is_linear_in_the_noise(case, length, seed, a, b):
     for m, u, v in zip(mixed, run(length, e1), run(length, e2)):
         scale = np.max(np.abs(a * u) + np.abs(b * v))
         assert np.max(np.abs(m - (a * u + b * v))) <= TOL * scale
+
+
+def test_fft_size_is_the_smallest_5_smooth_size_at_least_n():
+    # the CLI panels and the benchmark filter DEFAULT_BURN_IN + 10,000 samples
+    # at size _fft_size(2 * total - 1)
+    sizes = [*range(1, 20_001), 2 * (generators.DEFAULT_BURN_IN + 10_000) - 1]
+    limit = 2 * max(sizes)  # a power of two lies in [n, 2n)
+    smooth = [1]
+    for prime in (2, 3, 5):
+        smooth = [m * prime**k for m in smooth for k in range(limit.bit_length())
+                  if m * prime**k <= limit]
+    smooth.sort()
+    for n in sizes:
+        assert generators._fft_size(n) == smooth[bisect.bisect_left(smooth, n)], n
