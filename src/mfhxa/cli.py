@@ -2,6 +2,7 @@
 
 Grammar: mfhxa <generate|transform|estimate|decompose|replicate>
               [name] [key=value ...] [--in PATH ...] [--out PATH]
+The name comes first; keys, --in and --out may then come in any order.
 
 Every output file starts with '#'-prefixed manifest lines (tool, numpy and
 scipy versions, resolved parameters, input digests, seed, timestamp) so a
@@ -148,12 +149,6 @@ def manifest(command: str, params: dict, inputs: list[Path], seed=None) -> list[
     return lines
 
 
-def _require_out(out) -> Path:
-    if out is None:
-        raise ParameterError("missing --out PATH")
-    return Path(out)
-
-
 def _require_inputs(inputs, lo: int, hi: int) -> list[Path]:
     if not lo <= len(inputs) <= hi:
         want = str(lo) if lo == hi else f"{lo} or {hi}"
@@ -192,8 +187,7 @@ def _arfima_pair(config: ArfimaConfig, d_y: float, rho: float) -> tuple[TimeSeri
             generate_arfima(dataclasses.replace(config, d=d_y), noise=nu))
 
 
-def cmd_generate(name: str, params: Params, inputs, out) -> int:
-    out_path = _require_out(out)
+def cmd_generate(name: str, params: Params, inputs, out: Path) -> int:
     _require_inputs(inputs, 0, 0)
 
     pair, given = {}, {}
@@ -219,7 +213,7 @@ def cmd_generate(name: str, params: Params, inputs, out) -> int:
         meta.update(pair)
     meta = {k: format_number(v) if isinstance(v, float) else v for k, v in meta.items()}
     write_csv(
-        out_path,
+        out,
         manifest(f"generate {name}", meta, [], seed=seed),
         [name] if len(series) == 1 else ["x", "y"],
         [s.values for s in series],
@@ -229,8 +223,7 @@ def cmd_generate(name: str, params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- transform
 
-def cmd_transform(name: str, params: Params, inputs, out) -> int:
-    out_path = _require_out(out)
+def cmd_transform(name: str, params: Params, inputs, out: Path) -> int:
     (in_path,) = _require_inputs(inputs, 1, 1)
     column = params.integer("col", 1)
     meta: dict = {"transform": name, "col": column}
@@ -255,7 +248,7 @@ def cmd_transform(name: str, params: Params, inputs, out) -> int:
 
     out_dates = dates[len(dates) - len(result):] if dates is not None else None
     write_csv(
-        out_path,
+        out,
         manifest(f"transform {name}", meta, [in_path]),
         [name],
         [result.values],
@@ -308,8 +301,7 @@ def _read_pair(paths: list[Path], source: dict):
     return series[0], series[-1]
 
 
-def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
-    out_prefix = _require_out(out)
+def cmd_estimate(_name: None, params: Params, inputs, out: Path) -> int:
     preset = params.string("preset", "synthetic", choices=("synthetic", "real"))
     base = synthetic_preset() if preset == "synthetic" else real_preset()
     config, source = _pair_config(
@@ -329,10 +321,10 @@ def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
     moments = pair_moments(x, y, config)
     curves = moments.curves()
     if self_pair:
-        write_curve(f"{out_prefix}.curve.tsv", curves[0], comments)
+        write_curve(f"{out}.curve.tsv", curves[0], comments)
     else:
-        write_pair_curves(f"{out_prefix}.curve.tsv", *curves, comments)
-    write_grid(f"{out_prefix}.grid.tsv", moments.grid("xy"), comments)
+        write_pair_curves(f"{out}.curve.tsv", *curves, comments)
+    write_grid(f"{out}.grid.tsv", moments.grid("xy"), comments)
 
     if not curves[0].estimates:
         print("mfhxa: estimate: no q could be estimated; see the note column",
@@ -343,8 +335,7 @@ def cmd_estimate(_name: None, params: Params, inputs, out) -> int:
 
 # ---------------------------------------------------------------- decompose
 
-def cmd_decompose(_name: None, params: Params, inputs, out) -> int:
-    out_path = _require_out(out)
+def cmd_decompose(_name: None, params: Params, inputs, out: Path) -> int:
     q = params.number("q")
     tau_max = params.integer("tau_max", FIG2_CONFIG.tau_max_range[-1])
     config, source = _pair_config(params, len(inputs), FIG2_CONFIG, q_grid=(q,),
@@ -354,7 +345,7 @@ def cmd_decompose(_name: None, params: Params, inputs, out) -> int:
     # q is written once, by write_decomposition
     meta = {"tau_min": config.tau_min, "tau_max": config.tau_max_range[0],
             "filter": config.filter, "min_fit_points": config.min_fit_points, **source}
-    write_decomposition(out_path, pair_moments(x, y, config, split=True),
+    write_decomposition(out, pair_moments(x, y, config, split=True),
                         manifest("decompose", meta, paths))
     return 0
 
@@ -406,20 +397,19 @@ def _panel_pairs(figure: str, seed):
                 "length": 10000, "seed": seed})
 
 
-def cmd_replicate(figure: str, params: Params, inputs, out) -> int:
-    outdir = _require_out(out)
+def cmd_replicate(figure: str, params: Params, inputs, out: Path) -> int:
     _require_inputs(inputs, 0, 0)
     seed = None if figure in CASCADE_PANELS else params.seed()
     params.reject_unknown()
     pairs = list(_panel_pairs(figure, seed))  # a failing figure leaves no directory
-    outdir.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     for suffix, x, y, meta in pairs:
         comments = manifest(f"replicate {figure}", meta, [])
         if figure.startswith("fig1"):
-            write_pair_curves(outdir / f"{figure}_curves.tsv",
+            write_pair_curves(out / f"{figure}_curves.tsv",
                               *pair_moments(x, y, synthetic_preset()).curves(), comments)
         else:
-            write_decomposition(outdir / f"{figure}{suffix}_decomposition.tsv",
+            write_decomposition(out / f"{figure}{suffix}_decomposition.tsv",
                                 pair_moments(x, y, FIG2_CONFIG, split=True), comments)
     return 0
 
@@ -428,7 +418,7 @@ def cmd_replicate(figure: str, params: Params, inputs, out) -> int:
 
 # command -> (handler, what its first token names, the names it may take, help text);
 # a handler is called as handler(name, params, inputs, out), with name None for
-# a command that takes no name
+# a command that takes no name and out the --out path
 COMMANDS = {
     "generate": (cmd_generate, "generator", GENERATORS,
                  "write a simulated process to CSV (mbm, arfima, arfima-pair, two-component)"),
@@ -446,24 +436,27 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mfhxa",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description=(
-            "Generalized bivariate Hurst exponents from height-height "
-            "covariance scaling: process generation, transforms, estimation, "
-            "covariance decomposition, and figure replication."
+            "Generalized bivariate Hurst exponents from height-height covariance\n"
+            "scaling: process generation, transforms, estimation, covariance\n"
+            "decomposition, and figure replication."
         ),
+        epilog="commands:\n" + "\n".join(
+            f"  {command:<11}{help_text}" for command, (*_, help_text) in COMMANDS.items()),
     )
     parser.add_argument("--version", action="version",
                         version=f"mfhxa {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (*_, help_text) in COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
-        sp.add_argument("tokens", nargs="*", metavar="key=value",
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("tokens", nargs="*", default=[], metavar="key=value",
                         help="name (for generate/transform/replicate) and parameters")
-        sp.add_argument("--in", dest="inputs", action="append", default=[],
+    parser.add_argument("--in", dest="inputs", action="append", default=[],
                         metavar="PATH", help="input CSV (repeatable)")
-        sp.add_argument("--out", dest="out", metavar="PATH",
+    parser.add_argument("--out", type=Path, metavar="PATH",
                         help="output file, prefix, or directory")
-    args = parser.parse_args(argv)
+    # keys, --in and --out may come in any order
+    args = parser.parse_intermixed_args(argv)
 
     run, noun, names, _ = COMMANDS[args.command]
     tokens = list(args.tokens)
@@ -472,6 +465,8 @@ def main(argv=None) -> int:
         params = Params(tokens)
         if names and name not in names:
             raise ParameterError(f"unknown {noun} {name!r}; expected one of {', '.join(names)}")
+        if args.out is None:
+            raise ParameterError("missing --out PATH")
         return run(name, params, args.inputs, args.out)
     except (MfhxaError, OSError) as exc:
         print(f"mfhxa: {args.command}: {exc}", file=sys.stderr)

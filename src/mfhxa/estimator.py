@@ -20,9 +20,9 @@ block holds X and Y as rows (a self-pair is one row): per tau one call builds
 the block's detrended increments, and its powers walk the q grid once, giving
 K_xy, K_xx, K_yy and, with split=True, the product and covariance terms, which
 `PairMoments.decomposition` turns into a `ScalingDecomposition`. Every least
-squares fit (each (q, tau_max) slope with its R^2, and alpha) is one pass of
-prefix sums in `_window_slopes`, which alone picks the taus a fit uses, and
-every jackknife estimate (of a curve, a verdict or `jackknife_hurst`) comes
+squares fit (each (q, tau_max) slope, and alpha) is one pass of prefix sums
+in `_window_slopes`, which alone picks the taus a fit uses, and every
+jackknife estimate (of a curve, a verdict or `jackknife_hurst`) comes
 from `_jackknife_rows`. A curve holds one result per q of its grid, in order:
 the estimate, or that q's failure note.
 """
@@ -336,9 +336,11 @@ class PairMoments:
     def decomposition(self) -> ScalingDecomposition:
         """The ScalingDecomposition of a split pass at a single q.
 
-        alpha and its R^2 come from `_window_slopes`, as one window over the
-        taus with positive covariance. The fit reads min_fit_points from the
-        config of this pass, which the result keeps.
+        alpha comes from `_window_slopes`, as one window over the taus with
+        positive covariance, and its R^2 is the squared correlation of log tau
+        and log covariance over that window (1.0 when log covariance is
+        constant). The fit reads min_fit_points from the config of this pass,
+        which the result keeps.
         """
         if self.product is None or len(self.config.q_grid) != 1:
             raise ParameterError("decomposition needs a split kernel pass at one q")
@@ -348,12 +350,14 @@ class PairMoments:
         covariance = dict(zip(taus, self.covariance[0].tolist()))
 
         positive = tuple(t for t in taus if covariance[t] > 0.0)
-        slopes, fit_r2, failures = _window_slopes(
+        slopes, failures = _window_slopes(
             positive, np.array([[covariance[t] for t in positive]]), (q,), (taus[-1],),
             self.config)
         alpha = r_squared = None
         if failures[0] is None:
-            r_squared = float(fit_r2[0, 0])
+            lt, lc = np.log([(t, covariance[t]) for t in positive
+                             if t >= self.config.tau_min]).T
+            r_squared = 1.0 if np.ptp(lc) == 0 else float(np.corrcoef(lt, lc)[0, 1] ** 2)
             if r_squared >= ALPHA_MIN_R2:
                 alpha = float(slopes[0, 0]) / q
         return ScalingDecomposition(q, product, covariance, alpha, positive, r_squared,
@@ -418,11 +422,10 @@ def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, config: EstimationConfig)
     taus must be strictly increasing, as a grid's are; only the columns from
     config.tau_min up to the last tau_max are fitted. The windows are nested
     prefixes, so one pass of prefix sums of the centred logs gives all (row,
-    window) slopes and their R^2 (1.0 when log K is constant over the
-    window). tau_maxes must be increasing. Returns (slopes, r_squared,
-    failures): the first two have shape (rows, windows); failures[i] is None,
-    or (tau_max, error) for the first window in which row i cannot be fitted,
-    with the error a per-window fit raises there: too few taus, or a zero K.
+    window) slopes. tau_maxes must be increasing. Returns (slopes, failures):
+    slopes has shape (rows, windows); failures[i] is None, or (tau_max, error)
+    for the first window in which row i cannot be fitted, with the error a
+    per-window fit raises there: too few taus, or a zero K.
     """
     t = np.asarray(taus)
     tm = np.asarray(tau_maxes)
@@ -434,8 +437,7 @@ def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, config: EstimationConfig)
         error = InsufficientPointsError(
             f"{counts[0]} tau values available up to tau_max={tm[0]}, need {need}"
         )
-        nan = np.full((ks.shape[0], tm.size), np.nan)
-        return nan, nan, [(int(tm[0]), error)] * ks.shape[0]
+        return np.full((ks.shape[0], tm.size), np.nan), [(int(tm[0]), error)] * ks.shape[0]
 
     zero = ks <= 0
     j = zero.argmax(axis=1)
@@ -455,21 +457,18 @@ def _window_slopes(taus, k: np.ndarray, qs, tau_maxes, config: EstimationConfig)
     su = np.cumsum(lt)[last]
     suu = np.cumsum(lt * lt)[last]
     sv = np.cumsum(lk, axis=1)[:, last]
-    svv = np.cumsum(lk * lk, axis=1)[:, last]
     suv = np.cumsum(lk * lt, axis=1)[:, last]
     sxy = suv - su * sv / counts
     sxx = suu - su * su / counts
-    syy = svv - sv * sv / counts
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = sxy / sxx
-        r_squared = np.where(syy == 0, 1.0, sxy * sxy / (sxx * syy))
-    return slopes, r_squared, failures
+    return slopes, failures
 
 
 def fit_hurst_single(grid: HeightCovarianceGrid, q: float, tau_max: int) -> float:
     """Slope of log K against log tau over tau_min..tau_max, divided by q."""
     i = grid.q_index(q)
-    slopes, _, failures = _window_slopes(grid.tau_values, grid.k_matrix[i:i + 1], (q,),
+    slopes, failures = _window_slopes(grid.tau_values, grid.k_matrix[i:i + 1], (q,),
                                          (tau_max,), grid.config)
     if failures[0] is not None:
         raise failures[0][1]
@@ -536,7 +535,7 @@ def _jackknife_rows(taus, k: np.ndarray, qs, config: EstimationConfig) -> list:
         return [ConfidenceUndefinedError(
             "confidence interval undefined for a single tau_max; widen tau_max_range"
         ) for _ in qs]
-    slopes, _, failures = _window_slopes(taus, k, qs, tau_maxes, config)
+    slopes, failures = _window_slopes(taus, k, qs, tau_maxes, config)
     hs = slopes / np.asarray(qs, dtype=float)[:, None]
     h = hs.mean(axis=1)
     dof = _effective_dof(config, len(tau_maxes))

@@ -742,3 +742,78 @@ def test_estimate_hashes_each_input_once(tmp_path, monkeypatch):
         for kind in ("curve", "grid")
     )
     assert len(curve) == 5 and curve == grid
+
+
+# ------------------------------------------------------------- argument order
+
+# case -> (command and name, its keys, its --in files); "pair.csv" is the
+# arfima pair of write_arfima_pair, read as two inputs or as two columns
+KEY_ORDER_CASES = {
+    "generate": (["generate", "arfima"], ["d=0.3", "length=200", "seed=3"], []),
+    "transform": (["transform", "volume-deviation"], ["window=50", "col=1"],
+                  [FIXTURES / "market_volumes.csv"]),
+    "estimate-one-input": (["estimate"], ["preset=real", "x_col=1", "y_col=2"], ["pair.csv"]),
+    "estimate-two-inputs": (["estimate"], ["preset=real", "y_col=2", "tau_max=5..10"],
+                            ["pair.csv", "pair.csv"]),
+    "decompose": (["decompose"], ["q=2", "tau_max=10", "y_col=2"], ["pair.csv"]),
+    "replicate": (["replicate", "fig2c"], ["seed=5"], []),
+}
+
+
+def write_arfima_pair(path):
+    assert main(["generate", "arfima-pair", "d1=0.3", "d2=0.1", "rho=0.5", "length=400",
+                 "burn_in=50", "truncation=100", "seed=3", "--out", str(path)]) == 0
+    return path
+
+
+def output_lines(root):
+    """{file under root: its lines as bytes, without the timestamp line}."""
+    return {path.relative_to(root): [line for line in path.read_bytes().splitlines(True)
+                                     if not line.startswith(b"# timestamp=")]
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_ORDER_CASES))
+def test_keys_may_follow_in_and_out(tmp_path, case):
+    head, keys, inputs = KEY_ORDER_CASES[case]
+    write_arfima_pair(tmp_path / "pair.csv")
+    ins = [arg for path in inputs for arg in ("--in", str(tmp_path / path))]
+    first, after = tmp_path / "first", tmp_path / "after"
+    first.mkdir(), after.mkdir()
+    assert main(head + keys + ins + ["--out", str(first / "out")]) == 0
+    out = ["--out", str(after / "out")]
+    # one key after the first --in (before a second), the rest after --out
+    assert main(head + ins[:2] + keys[:1] + ins[2:] + out + keys[1:] if ins
+                else head + out + keys) == 0
+    written = output_lines(first)
+    assert written and output_lines(after) == written
+
+
+def test_no_command_or_an_unknown_one_exits_2(capsys):
+    for argv in ([], ["plot", "--out", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: mfhxa")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["estimate", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    page = capsys.readouterr().out
+    for command, (*_, help_text) in mfhxa.cli.COMMANDS.items():
+        assert f"  {command}" in page and help_text in page, command
+
+
+def test_module_entry_point_reads_its_own_argv(tmp_path):
+    # python -m mfhxa.cli: main() reads sys.argv, with the keys after --in
+    pair = write_arfima_pair(tmp_path / "pair.csv")
+    script = ("import runpy; "
+              "runpy.run_module('mfhxa.cli', run_name='__main__', alter_sys=True)")
+    fresh_interpreter(script, "decompose", "--in", pair, "q=2", "tau_max=10", "y_col=2",
+                      "--out", tmp_path / "after.tsv")
+    assert main(["decompose", "q=2", "tau_max=10", "y_col=2", "--in", str(pair),
+                 "--out", str(tmp_path / "first.tsv")]) == 0
+    assert strip_timestamp(tmp_path / "after.tsv") == strip_timestamp(tmp_path / "first.tsv")
