@@ -462,6 +462,11 @@ def main(argv=None) -> int:
     tokens = list(args.tokens)
     name = tokens.pop(0) if names and tokens and "=" not in tokens[0] else None
     try:
+        if names and name is None:
+            stray = next((tok for tok in tokens if "=" not in tok), None)
+            if stray is not None:
+                raise ParameterError(f"expected key=value, got {stray!r}; the {noun} "
+                                     "must come first, before the keys")
         params = Params(tokens)
         if names and name not in names:
             raise ParameterError(f"unknown {noun} {name!r}; expected one of {', '.join(names)}")

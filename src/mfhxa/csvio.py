@@ -44,21 +44,41 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
     `dates` is None when there is no leading non-numeric column. Column
     names come from the header row when present, else col1, col2, ...
 
-    The layout is inferred from the first two data lines; the rest of the
-    file is split and converted a whole column at a time. Only when that
-    fails are the lines walked one by one, to report the first bad one.
+    The layout is inferred from the first two data lines. The numeric
+    columns are parsed by numpy's C parser; where it refuses a cell, each
+    column is converted with float(), which takes the grammar only it knows
+    (`1_0`, non-ASCII digits) or names the first bad line.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
-    stripped = list(map(str.strip, text.split("\n")))
-    kept = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
-    if not kept:
+    # every file the tools write starts with a '#' manifest block
+    start = skipped = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)
+        skipped += 1
+    rest = text[start:]
+    lines = rest.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # a plain body (ASCII, no '#', no blank line, no whitespace but the line
+    # breaks; reading in text mode turned every '\r' into one) has nothing
+    # to strip or filter
+    plain = rest.isascii() and all(lines) and not any(
+        c in rest for c in "# \t\v\f\x1c\x1d\x1e\x1f")
+    if plain:
+        numbers = range(skipped, skipped + len(lines))
+    else:
+        stripped = list(map(str.strip, lines))
+        kept = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
+        lines = [stripped[i] for i in kept]
+        numbers = [skipped + i for i in kept]
+    if not lines:
         raise CsvFormatError(f"{path}: no data rows")
 
     # shape is inferred from the first data row (the second row when a
     # header is present, which the reference row itself reveals)
-    first = _split(stripped[kept[0]])
-    ref = _split(stripped[kept[1]]) if len(kept) > 1 else first
+    first = _split(lines[0])
+    ref = _split(lines[1]) if len(lines) > 1 else first
     has_dates = not _is_number(ref[0])
     first_num = 1 if has_dates else 0
     ncols = len(ref)
@@ -68,12 +88,12 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
         raise CsvFormatError(f"{path}: no numeric columns found")
 
     # header = first row non-numeric in a position that is numeric in data
-    has_header = len(kept) > 1 and any(
+    has_header = len(lines) > 1 and any(
         not _is_number(first[i]) for i in range(first_num, min(len(first), ncols))
     )
     if has_header and len(first) != ncols:
         raise CsvFormatError(
-            f"{path}:{kept[0] + 1}: header has {len(first)} fields, "
+            f"{path}:{numbers[0] + 1}: header has {len(first)} fields, "
             f"data rows have {ncols}"
         )
     names = (
@@ -82,29 +102,53 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
         else [f"col{i + 1}" for i in range(ncols - first_num)]
     )
 
-    body = kept[1:] if has_header else kept
-    lines = [stripped[i] for i in body]
+    body, numbers = (lines[1:], numbers[1:]) if has_header else (lines, numbers)
     # each line splits on tabs if it has one, else on commas; a comma line
     # has no tab, so turning its commas into tabs splits it the same way
     sep = "\t" if "\t" in text else ","
     if sep == "\t":
-        lines = [line if "\t" in line else line.replace(",", "\t") for line in lines]
-    n = len(lines)
-    if [line.count(sep) for line in lines].count(ncols - 1) != n:
-        raise _line_error(path, body, lines, sep, ncols, first_num)
-    cells = list(map(str.strip, sep.join(lines).split(sep)))
-    try:
-        cols = [np.fromiter(map(float, cells[j::ncols]), float, n)
-                for j in range(first_num, ncols)]
-    except ValueError:
-        raise _line_error(path, body, lines, sep, ncols, first_num) from None
-    dates = cells[0::ncols] if has_dates else None
+        body = [line if "\t" in line else line.replace(",", "\t") for line in body]
+    joined = sep.join(body)
+    cols = None
+    # the parser refuses a line without column ncols, so when it succeeds and
+    # the n joined lines hold n * ncols - 1 separators, each line has ncols - 1
+    if joined.count(sep) == len(body) * ncols - 1:
+        try:
+            table = np.loadtxt(body, delimiter=sep, usecols=range(first_num, ncols),
+                               dtype=float, comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            cols = list(np.ascontiguousarray(table.T))
+    if cols is None:
+        cols = _float_columns(path, numbers, body, sep, ncols, first_num)
+    dates = None
+    if has_dates:
+        dates = joined.split(sep)[0::ncols]
+        if not plain:
+            dates = list(map(str.strip, dates))
     return dates, cols, names
 
 
-def _line_error(path, body, lines, sep, ncols, first_num) -> CsvFormatError:
+def _float_columns(path, numbers, body, sep, ncols, first_num) -> list[np.ndarray]:
+    """The numeric columns converted cell by cell with float().
+
+    Raises the CsvFormatError of the first bad line, if there is one.
+    """
+    n = len(body)
+    if [line.count(sep) for line in body].count(ncols - 1) != n:
+        raise _line_error(path, numbers, body, sep, ncols, first_num)
+    cells = list(map(str.strip, sep.join(body).split(sep)))
+    try:
+        return [np.fromiter(map(float, cells[j::ncols]), float, n)
+                for j in range(first_num, ncols)]
+    except ValueError:
+        raise _line_error(path, numbers, body, sep, ncols, first_num) from None
+
+
+def _line_error(path, numbers, lines, sep, ncols, first_num) -> CsvFormatError:
     """The CsvFormatError of the first bad data line."""
-    for index, line in zip(body, lines):
+    for index, line in zip(numbers, lines):
         cells = [c.strip() for c in line.split(sep)]
         if len(cells) != ncols:
             return CsvFormatError(
@@ -125,10 +169,27 @@ def read_series(path, column: int = 1) -> TimeSeries:
     return TimeSeries(cols[column - 1], names[column - 1])
 
 
-def _column_cells(column: np.ndarray) -> list[str]:
-    """Every value of a column as format_number prints it."""
-    fmt = "{:.12g}".format if column.dtype.kind == "f" else format_number
-    return list(map(fmt, column.tolist()))
+def _number_column(column: np.ndarray) -> tuple[str, list]:
+    """A numeric column as a (format, cells) pair for _text_rows."""
+    if column.dtype.kind == "f":
+        return "%.12g", column.tolist()
+    return "%s", list(map(format_number, column.tolist()))
+
+
+def _text_rows(columns, sep: str) -> str:
+    """The data lines of a table, each ending in a newline.
+
+    `columns` holds (format, cells) pairs: "%.12g" with floats, which prints
+    every float as format_number does (0, -0, nan, +-inf and subnormals
+    alike), or "%s" with text. One % operation formats the whole table.
+    Columns of unequal length raise ValueError.
+    """
+    k = len(columns)
+    n = len(columns[0][1]) if columns else 0
+    cells = [None] * (n * k)
+    for j, (_, column) in enumerate(columns):
+        cells[j::k] = column
+    return (sep.join(fmt for fmt, _ in columns) + "\n") * n % tuple(cells)
 
 
 _SEPARATORS = (",", "\t", "\r", "\n")
@@ -140,18 +201,20 @@ def write_csv(path, comments: list[str], names: list[str], columns, dates=None) 
     Cells are not quoted, so a name or date containing a separator (comma,
     tab, CR or LF) raises CsvFormatError, before the file is opened.
     """
-    cells = [_column_cells(np.asarray(c)) for c in columns]
+    columns = [_number_column(np.asarray(c)) for c in columns]
     head = list(names)
     if dates is not None:
-        cells.insert(0, dates)
+        columns.insert(0, ("%s", dates))
         head.insert(0, "date")
     _check_text_cells(path, head, "column name")
     if dates is not None:
         _check_text_cells(path, dates, "date")
-    lines = [f"# {c}" for c in comments] + [",".join(head)]
-    lines += map(",".join, zip(*cells, strict=True))
+    _write_text(path, comments, ",".join(head), _text_rows(columns, ","))
+
+
+def _write_text(path, comments: list[str], header: str, rows: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"# {c}\n" for c in comments) + header + "\n" + rows)
 
 
 def _check_text_cells(path, cells, kind: str) -> None:
@@ -176,11 +239,18 @@ def write_table(path, comments: list[str], names: list[str], rows) -> None:
 
     All rows must have the same number of cells.
     """
-    cells = [list(map(_cell, column)) for column in zip(*rows, strict=True)]
-    lines = [f"# {c}" for c in comments] + ["\t".join(names)]
-    lines += map("\t".join, zip(*cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [_table_column(column) for column in zip(*rows, strict=True)]
+    _write_text(path, comments, "\t".join(names), _text_rows(columns, "\t"))
+
+
+_FLOATS = {float, np.float64}
+
+
+def _table_column(cells: tuple) -> tuple[str, list]:
+    """A column of table cells as a (format, cells) pair for _text_rows."""
+    if set(map(type, cells)) <= _FLOATS:
+        return "%.12g", cells
+    return "%s", list(map(_cell, cells))
 
 
 def _cell(v) -> str:

@@ -7,6 +7,8 @@ config, the decomposition table its q and fitted exponents.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .csvio import format_number, write_table
 from .errors import ParameterError
 from .estimator import (
@@ -35,10 +37,9 @@ def config_comments(config: EstimationConfig) -> list[str]:
 
 def write_grid(path, grid: HeightCovarianceGrid, comments: list[str] = ()) -> None:
     """Rows of (q, tau, K) covering the whole lattice."""
-    rows = []
-    for i, q in enumerate(grid.q_values):
-        for j, tau in enumerate(grid.tau_values):
-            rows.append((q, tau, grid.k_matrix[i, j]))
+    taus = grid.tau_values
+    rows = list(zip(np.repeat(grid.q_values, len(taus)).tolist(),
+                    taus * len(grid.q_values), grid.k_matrix.ravel().tolist()))
     write_table(
         path,
         [f"series_x={grid.x_label}", f"series_y={grid.y_label}"]

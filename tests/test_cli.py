@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -177,6 +179,17 @@ FIGURE_NAMES = ("fig1a, fig1b, fig1c, fig1d, fig1e, fig1f, fig1g, fig1h, "
      f"transform: unknown transform None; expected one of {TRANSFORM_NAMES}"),
     (["replicate", "fig3"], None,
      f"replicate: unknown figure id 'fig3'; expected one of {FIGURE_NAMES}"),
+    # a name after the keys is refused with the rule it broke
+    (["generate", "d=0.3", "length=200", "seed=1", "arfima"], None,
+     "generate: expected key=value, got 'arfima'; the generator must come first, "
+     "before the keys"),
+    (["transform", "window=50", "volume-deviation", "--in",
+      str(FIXTURES / "market_volumes.csv")], None,
+     "transform: expected key=value, got 'volume-deviation'; the transform must come "
+     "first, before the keys"),
+    (["replicate", "seed=3", "fig1b"], None,
+     "replicate: expected key=value, got 'fig1b'; the figure id must come first, "
+     "before the keys"),
     (["replicate"], None,
      f"replicate: unknown figure id None; expected one of {FIGURE_NAMES}"),
     # a negative seed is refused by the generator configs, not by numpy
@@ -817,3 +830,51 @@ def test_module_entry_point_reads_its_own_argv(tmp_path):
     assert main(["decompose", "q=2", "tau_max=10", "y_col=2", "--in", str(pair),
                  "--out", str(tmp_path / "first.tsv")]) == 0
     assert strip_timestamp(tmp_path / "after.tsv") == strip_timestamp(tmp_path / "first.tsv")
+
+
+# ------------------------------------------------------------ market pipeline
+
+# The paper's daily-data chain on the bundled fixtures. The transforms'
+# outputs are pinned by the SHA-256 of their lines without the tool, version,
+# timestamp and input-path lines; the estimate's tables are kept as
+# fixtures/market_estimate_<kind>.tsv. Both were written by the reader that
+# stripped and converted every cell in Python and by the cell-by-cell writers.
+MARKET_TRANSFORMS = {
+    "absret.csv": (["abs-returns"], "market_prices.csv",
+                   "9df2eb5c4e62730e4a5152d7177be2c895767ccd277428a88f2270a18d54b327"),
+    "voldev.csv": (["volume-deviation", "window=500"], "market_volumes.csv",
+                   "61b21430fc925e48a8f73fbcc00490cdaefdefffc69ee14805d84dfca73b104f"),
+}
+
+
+def pinned_lines_digest(path):
+    skip = (b"# tool=", b"# numpy=", b"# scipy=", b"# timestamp=", b"# input1=")
+    lines = [line for line in Path(path).read_bytes().splitlines(True)
+             if not line.startswith(skip)]
+    return hashlib.sha256(b"".join(lines)).hexdigest()
+
+
+def test_market_pipeline_matches_its_golden_outputs(tmp_path):
+    for out, (transform, source, digest) in MARKET_TRANSFORMS.items():
+        assert main(["transform", *transform, "--in", str(FIXTURES / source),
+                     "--out", str(tmp_path / out)]) == 0
+        assert pinned_lines_digest(tmp_path / out) == digest, out
+    assert main(["estimate", "preset=real", "input=increments",
+                 "--in", str(tmp_path / "absret.csv"), "--in", str(tmp_path / "voldev.csv"),
+                 "--out", str(tmp_path / "market")]) == 0
+    for kind in ("curve", "grid"):
+        # the input paths and digests change with each transform's timestamp
+        got, want = ([cells for cells in TestReplicate.golden_cells(path)
+                      if not re.fullmatch(r"input\d+(_sha256)?", cells[0])]
+                     for path in (tmp_path / f"market.{kind}.tsv",
+                                  FIXTURES / f"market_estimate_{kind}.tsv"))
+        assert [len(cells) for cells in got] == [len(cells) for cells in want]
+        for got_cells, want_cells in zip(got, want):
+            for g, w in zip(got_cells, want_cells):
+                try:
+                    w_value = float(w)
+                except ValueError:  # a key, a note or NA
+                    assert g == w, (kind, got_cells, want_cells)
+                    continue
+                assert abs(float(g) - w_value) <= 1e-12 * abs(w_value), (kind, got_cells,
+                                                                          want_cells)
