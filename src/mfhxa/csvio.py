@@ -213,6 +213,14 @@ def write_csv(path, comments: list[str], names: list[str], columns, dates=None) 
 
 
 def _write_text(path, comments: list[str], header: str, rows: str) -> None:
+    """Write '#' comment lines, the header and the rows; a comment holding a
+    line break raises CsvFormatError before the file is opened."""
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise CsvFormatError(
+                f"{path}: comment {comment!r} contains a line break; "
+                "a '#' line cannot hold one"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"# {c}\n" for c in comments) + header + "\n" + rows)
 

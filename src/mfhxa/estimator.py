@@ -63,7 +63,12 @@ class EstimationConfig:
     confidence: float = 0.99
 
     def __post_init__(self):
-        qs = tuple(float(q) for q in self.q_grid)
+        try:
+            qs = tuple(float(q) for q in self.q_grid)
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"q_grid must be a sequence of numbers, got {self.q_grid!r}"
+            ) from None
         if not qs:
             raise ParameterError("q_grid must not be empty")
         if not all(math.isfinite(q) for q in qs):
@@ -73,7 +78,13 @@ class EstimationConfig:
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise ParameterError("q_grid must be strictly increasing")
         object.__setattr__(self, "q_grid", qs)
-        lo, hi = (_integer("tau_max_range end", v) for v in self.tau_max_range)
+        try:
+            lo, hi = self.tau_max_range
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"tau_max_range must be a (low, high) pair, got {self.tau_max_range!r}"
+            ) from None
+        lo, hi = (_integer("tau_max_range end", v) for v in (lo, hi))
         object.__setattr__(self, "tau_max_range", (lo, hi))
         _integer_fields(self, tau_min=1, min_fit_points=2)
         if lo > hi:

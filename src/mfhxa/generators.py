@@ -12,13 +12,16 @@ same seed therefore reproduces a series bit-for-bit on the same numpy build.
 
 The recursions define the series; they are computed as causal linear filters.
 A truncated recursion x = A(L) x + eps with A(L) = sum a_i L^i is the power
-series P(L) = 1 - A(L) applied as x = P(L)^-1 eps. P^-1 is inverted exactly
+series P(L) = 1 - A(L) applied as x = P(L)^-1 eps. The coupled pair is the
+2 x 2 case, P(L) = I - M diag(A_1(L), A_2(L)) with w on the diagonal of M and
+1 - w off it. One routine, ``_responses``, inverts the matrix series exactly
 modulo L^n (n = burn_in + length) by Newton doubling with FFT products, and
-x is its FFT convolution with the noise. This equals the sample-by-sample
-recursion up to rounding, about 1e-14 relative to the largest value. The
-frequency responses depend only on the parameters and n, so the last few are
-cached (read-only). One filter, ``_filtered``, applies them for every
-generator: one FFT per noise stream and one inverse FFT per output series.
+each output is an FFT convolution with the noise. This equals the
+sample-by-sample recursion up to rounding, about 1e-14 relative to the
+largest value. The frequency responses depend only on the parameters and n,
+so the last eight are cached (read-only). One filter, ``_filtered``, applies
+them for every generator: one FFT per noise stream and one inverse FFT per
+output series.
 """
 
 from __future__ import annotations
@@ -176,25 +179,30 @@ def _fft_size(n: int) -> int:
 
 
 def _series_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n coefficients of the power-series product a(L) b(L)."""
-    a, b = a[:n], b[:n]
-    size = _fft_size(a.size + b.size - 1)
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+    """First n coefficients of the matrix power-series product a(L) b(L).
+
+    a and b hold (m, m, terms) coefficients; entry (i, k) sums a_ij b_jk over
+    j in order, each term one FFT product.
+    """
+    a, b = a[..., :n], b[..., :n]
+    size = _fft_size(a.shape[-1] + b.shape[-1] - 1)
+    spectrum = (np.fft.rfft(a, size)[:, :, None] * np.fft.rfft(b, size)[None]).sum(axis=1)
+    return np.fft.irfft(spectrum, size)[..., :n]
 
 
 def _inverse_series(p: np.ndarray, n: int) -> np.ndarray:
-    """First n coefficients of 1 / p(L), for p[0] = 1, by Newton doubling.
+    """First n coefficients of p(L)^-1, for an (m, m, terms) p with p[:, :, 0] = I.
 
-    With b exact to k terms, b <- b + b (1 - p b) is exact to 2k terms. The
-    residual 1 - p b vanishes below L^k, so only its terms k..2k-1 are formed
-    and only the new terms of b are appended.
+    Newton doubling: with b exact to k terms, b <- b + b (I - p b) is exact
+    to 2k terms. The residual I - p b vanishes below L^k, so only its terms
+    k..2k-1 are formed and only the new terms of b are appended.
     """
-    b = np.ones(1)
+    b = np.eye(len(p))[:, :, None]
     k = 1
     while k < n:
         k2 = min(2 * k, n)
-        r = _series_product(p[:k2], b, k2)[k:]
-        b = np.concatenate((b, -_series_product(b, r, k2 - k)))
+        r = _series_product(p[..., :k2], b, k2)[..., k:]
+        b = np.concatenate((b, -_series_product(b, r, k2 - k)), axis=-1)
         k = k2
     return b
 
@@ -206,13 +214,6 @@ def _lag_polynomial(d: float, truncation: int, n: int) -> np.ndarray:
     if m:
         a[1 : m + 1] = arfima_weights(d, m)
     return a
-
-
-def _one_minus(w: float, a: np.ndarray) -> np.ndarray:
-    """Coefficients of 1 - w A(L); w = 1 gives exactly 1 - A(L)."""
-    p = -(w * a)
-    p[0] = 1.0
-    return p
 
 
 def _filtered(responses, streams, burn_in: int) -> list[np.ndarray]:
@@ -228,44 +229,27 @@ def _filtered(responses, streams, burn_in: int) -> list[np.ndarray]:
     return [np.fft.irfft(spectrum, size)[burn_in:total] for spectrum in sums]
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.setflags(write=False)
-    return values
+@functools.lru_cache(maxsize=8)
+def _responses(ds: tuple[float, ...], w: float, truncation: int, n: int) -> np.ndarray:
+    """Read-only rfft responses G, at size _fft_size(2n - 1), of the m = len(ds)
+    coupled recursions X_i = sum_j M_ij A_j(L) X_j + e_i, so X_i = sum_j G_ij e_j.
 
-
-@functools.lru_cache(maxsize=4)
-def _arfima_response(d: float, truncation: int, n: int) -> np.ndarray:
-    """rfft, at size _fft_size(2n - 1), of the first n terms of (1 - A(L))^-1."""
-    inverse = _inverse_series(_one_minus(1.0, _lag_polynomial(d, truncation, n)), n)
-    return _read_only(np.fft.rfft(inverse, _fft_size(2 * n - 1)))
-
-
-@functools.lru_cache(maxsize=4)
-def _two_component_response(
-    d1: float, d2: float, w: float, truncation: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """rfft responses (G11, G12, G21, G22) of X = G11 eps + G12 nu, Y = G21 eps + G22 nu.
-
-    The system [[P1, -c A2], [-c A1, P2]] (X, Y) = (eps, nu), with
-    Pk = 1 - w Ak and c = 1 - w, is solved by block elimination:
-    X = S1^-1 (eps + c A2 P2^-1 nu) with S1 = P1 - c^2 A1 A2 P2^-1, and Y is its
-    mirror image with the indices swapped. At w = 1 every cross term carries an
-    exact factor 0, so G11 and G22 are bit for bit the scalar responses, and
-    equal parameters on both sides give bit-identical mirrors.
+    M has w on its diagonal and 1 - w off it; ARFIMA is the 1 x 1 case with
+    w = 1. G is the first n terms of the matrix series (I - M diag(A_j))^-1,
+    inverted once by Newton doubling. At w = 1 every cross term carries an
+    exact factor 0, so the diagonal of G is bit for bit the 1 x 1 responses;
+    equal d on both sides give bit-identical mirrors, G_11 = G_22 and
+    G_12 = G_21, since each entry of a product is the same sum in mirror order.
     """
-    a1 = _lag_polynomial(d1, truncation, n)
-    a2 = _lag_polynomial(d2, truncation, n)
-    p1 = _one_minus(w, a1)
-    p2 = _one_minus(w, a2)
-    c = 1.0 - w
-    q1 = _series_product(a1, _inverse_series(p1, n), n)  # A1 P1^-1
-    q2 = _series_product(a2, _inverse_series(p2, n), n)  # A2 P2^-1
-    g11 = _inverse_series(p1 - c * c * _series_product(a1, q2, n), n)
-    g22 = _inverse_series(p2 - c * c * _series_product(a2, q1, n), n)
-    g12 = _series_product(g11, c * q2, n)
-    g21 = _series_product(g22, c * q1, n)
-    size = _fft_size(2 * n - 1)
-    return tuple(_read_only(np.fft.rfft(g, size)) for g in (g11, g12, g21, g22))
+    m = len(ds)
+    coupling = np.full((m, m), 1.0 - w)
+    np.fill_diagonal(coupling, w)
+    lags = np.array([_lag_polynomial(d, truncation, n) for d in ds])
+    system = -(coupling[:, :, None] * lags)
+    system[range(m), range(m), 0] = 1.0
+    responses = np.fft.rfft(_inverse_series(system, n), _fft_size(2 * n - 1))
+    responses.setflags(write=False)
+    return responses
 
 
 def generate_arfima(config: ArfimaConfig, noise: TimeSeries | None = None) -> TimeSeries:
@@ -282,8 +266,8 @@ def generate_arfima(config: ArfimaConfig, noise: TimeSeries | None = None) -> Ti
     total = config.burn_in + config.length
     injected = None if noise is None else (noise,)
     streams = _innovations(config.seed, 1, config.burn_in, config.length, injected)
-    response = _arfima_response(config.d, min(config.truncation, total - 1), total)
-    (x,) = _filtered([(response,)], streams, config.burn_in)
+    response = _responses((config.d,), 1.0, min(config.truncation, total - 1), total)
+    (x,) = _filtered(response, streams, config.burn_in)
     return TimeSeries(x, f"arfima(d={config.d:g})")
 
 
@@ -302,17 +286,16 @@ def generate_two_component(
     N(0,1) streams drawn from the seed (eps first, then nu, each of length
     burn_in + length); pass `noise` to inject innovations.
 
-    Computed by solving the coupled recursion as a 2 x 2 system of power
-    series (block elimination, exact modulo L^n) and convolving each noise
-    stream by FFT; equal to the recursion up to rounding of about 1e-14
-    relative.
+    Computed by inverting the coupled recursion as a 2 x 2 matrix power
+    series (exact modulo L^n) and convolving each noise stream by FFT; equal
+    to the recursion up to rounding of about 1e-14 relative.
     """
     total = config.burn_in + config.length
     streams = _innovations(config.seed, 2, config.burn_in, config.length, noise)
-    g11, g12, g21, g22 = _two_component_response(
-        config.d1, config.d2, config.w, min(config.truncation, total - 1), total
+    response = _responses(
+        (config.d1, config.d2), config.w, min(config.truncation, total - 1), total
     )
-    x_series, y_series = _filtered([(g11, g12), (g21, g22)], streams, config.burn_in)
+    x_series, y_series = _filtered(response, streams, config.burn_in)
     tag = f"d1={config.d1:g},d2={config.d2:g},w={config.w:g}"
     return (
         TimeSeries(x_series, f"twocomp_x({tag})"),

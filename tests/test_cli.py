@@ -293,6 +293,17 @@ class TestTransform:
         assert "date 'Jan 2, 2020' contains ','" in err
         assert not out.exists()
 
+    def test_input_path_with_a_line_break_exits_2_without_output(self, tmp_path, capsys):
+        # the path lands in a '# input1=' manifest line, which cannot hold a
+        # line break: the rest of the path would read back as a data line
+        src = tmp_path / "a\nb.csv"
+        write_levels_csv(src, [100.0, 101.0, 99.0], "price")
+        out = tmp_path / "o.csv"
+        code = main(["transform", "abs-returns", "--in", str(src), "--out", str(out)])
+        assert code == 2
+        assert "contains a line break" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_ramp_self_estimate_is_one(self, tmp_path):

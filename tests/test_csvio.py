@@ -355,6 +355,22 @@ def test_write_csv_names_the_cell_at_either_end(tmp_path, dates, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("writer, args", [
+    (write_table, (["q", "h"], [(1.0, 0.5)])),
+    (write_csv, (["x"], [[1.0, 2.0]])),
+])
+@pytest.mark.parametrize("comment", ["run\rtwo", "run\ntwo", "end\r\n"])
+def test_comment_with_a_line_break_is_refused_before_the_file_opens(tmp_path, writer, args,
+                                                                     comment):
+    path = tmp_path / "out.tsv"
+    with pytest.raises(CsvFormatError) as exc:
+        writer(path, ["tool=mfhxa", comment], *args)
+    assert str(exc.value) == (
+        f"{path}: comment {comment!r} contains a line break; a '#' line cannot hold one"
+    )
+    assert not path.exists()
+
+
 def test_write_table_matches_reference(tmp_path):
     rows = [(0.1, 1, 2.5e-7, "ok"), (0.2, 2, "NA", "a\tb"), ("alpha", 0.3, "no-scaling", 4),
             (np.float64(1e-20), np.int64(7), float("nan"), "")]

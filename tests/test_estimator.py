@@ -92,6 +92,20 @@ class TestConfig:
             EstimationConfig(q_grid=(2.0,), **kwargs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(q_grid=(2.0,), tau_max_range=(5,)), "tau_max_range must be a (low, high) pair"),
+        (dict(q_grid=(2.0,), tau_max_range=(5, 10, 20)),
+         "tau_max_range must be a (low, high) pair"),
+        (dict(q_grid=(2.0,), tau_max_range=20), "tau_max_range must be a (low, high) pair"),
+        (dict(q_grid=2.0), "q_grid must be a sequence of numbers"),
+        (dict(q_grid=("a",)), "q_grid must be a sequence of numbers"),
+        (dict(q_grid=(1.0, None)), "q_grid must be a sequence of numbers"),
+    ])
+    def test_shape_errors_name_their_field(self, kwargs, message):
+        with pytest.raises(ParameterError) as info:
+            EstimationConfig(**kwargs)
+        assert str(info.value).startswith(message + ", got ")
+
     @pytest.mark.parametrize("q_grid", [(1.0, math.nan), (math.inf,), (-math.inf, 1.0)])
     def test_non_finite_q_is_rejected(self, q_grid):
         with pytest.raises(ParameterError, match="all q must be finite"):

@@ -130,7 +130,7 @@ class TestArfimaAgainstRecursion:
 
     def test_cached_response_is_read_only(self):
         arfima(0.27, 333, 210, 44, noise(377, 7))
-        response = generators._arfima_response(0.27, 210, 377)
+        response = generators._responses((0.27,), 1.0, 210, 377)
         assert not response.flags.writeable
         with pytest.raises(ValueError):
             response[0] = 0.0
@@ -186,7 +186,7 @@ class TestTwoComponentAgainstRecursion:
 
     def test_cached_responses_are_read_only(self):
         two_component(0.33, 0.12, 0.8, 300, 90, 10, noise(310, 15), noise(310, 16))
-        for response in generators._two_component_response(0.33, 0.12, 0.8, 90, 310):
+        for response in generators._responses((0.33, 0.12), 0.8, 90, 310):
             assert not response.flags.writeable
 
 
@@ -255,6 +255,25 @@ def test_output_is_linear_in_the_noise(case, length, seed, a, b):
     for m, u, v in zip(mixed, run(length, e1), run(length, e2)):
         scale = np.max(np.abs(a * u) + np.abs(b * v))
         assert np.max(np.abs(m - (a * u + b * v))) <= TOL * scale
+
+
+@pytest.mark.parametrize("ds,w", [((0.4, 0.1), 0.6), ((0.3,), 1.0)])
+def test_matrix_inverse_times_the_system_is_the_identity(ds, w):
+    # the system I - M diag(A_j(L)) that _responses inverts, built here by hand
+    n = 500
+    m = len(ds)
+    system = np.zeros((m, m, n))
+    for i in range(m):
+        for j in range(m):
+            system[i, j, 1:] = -(w if i == j else 1.0 - w) * arfima_weights(ds[j], n - 1)
+        system[i, i, 0] = 1.0
+    identity = np.zeros((m, m, n))
+    identity[:, :, 0] = np.eye(m)
+    inverse = generators._inverse_series(system, n)
+    assert inverse.shape == (m, m, n)
+    for product in (generators._series_product(system, inverse, n),
+                    generators._series_product(inverse, system, n)):
+        np.testing.assert_allclose(product, identity, rtol=0, atol=1e-12)
 
 
 def test_fft_size_is_the_smallest_5_smooth_size_at_least_n():
