@@ -26,8 +26,8 @@ import numpy
 import scipy
 
 from . import __version__
-from .csvio import format_number, read_columns, read_series, write_csv
-from .errors import MfhxaError, ParameterError
+from .csvio import format_number, read_columns, write_csv
+from .errors import CsvFormatError, MfhxaError, ParameterError
 from .estimator import (
     FILTERS,
     Q_STEP,
@@ -290,15 +290,44 @@ def _pair_config(params: Params, n_inputs: int, base: EstimationConfig,
 def _read_pair(paths: list[Path], source: dict):
     """X from column x_col of the first input, Y from column y_col of the last.
 
-    With one input and y_col == x_col the pair is a self-pair: the column is
-    read once and returned as both X and Y.
+    Each input is read once. With one input and y_col == x_col the pair is a
+    self-pair: the column is returned as both X and Y. Two inputs that both
+    carry dates pair only when their dates are the same, row for row; an
+    input without dates pairs by position.
     """
     x_col, y_col = source["x_col"], source["y_col"]
-    cols = (x_col,) if len(paths) == 1 and y_col == x_col else (x_col, y_col)
-    series = [read_series(path, col) for path, col in zip(paths * 2, cols)]
+    x_table = read_columns(paths[0])
+    series = [_series(paths[0], x_table, x_col)]
+    if len(paths) == 2 or y_col != x_col:
+        y_table = read_columns(paths[1]) if len(paths) == 2 else x_table
+        series.append(_series(paths[-1], y_table, y_col))
+        _check_dates(paths, x_table[0], y_table[0])
     if source["input"] == "increments":
         series = [accumulate(s) for s in series]
     return series[0], series[-1]
+
+
+def _series(path: Path, table, column: int) -> TimeSeries:
+    """Numeric column `column` (1-based) of the read_columns result `table`,
+    refused as read_series refuses it."""
+    _, cols, names = table
+    if not 1 <= column <= len(cols):
+        raise CsvFormatError(
+            f"{path}: column {column} requested but file has {len(cols)} numeric column(s)"
+        )
+    return TimeSeries(cols[column - 1], names[column - 1])
+
+
+def _check_dates(paths: list[Path], x_dates, y_dates) -> None:
+    """Refuse two dated inputs whose dates differ, naming the first row that differs."""
+    if x_dates is None or y_dates is None or x_dates == y_dates:
+        return
+    for row, (a, b) in enumerate(zip(x_dates, y_dates), start=1):
+        if a != b:
+            raise MfhxaError(f"dates differ at data row {row}: {a!r} in {paths[0]}, "
+                             f"{b!r} in {paths[-1]}; two dated inputs must have the same dates")
+    raise MfhxaError(f"{paths[0]} has {len(x_dates)} dated rows and {paths[-1]} has "
+                     f"{len(y_dates)}; two dated inputs must have the same dates")
 
 
 def cmd_estimate(_name: None, params: Params, inputs, out: Path) -> int:

@@ -4,7 +4,10 @@ Input CSV: UTF-8, '.' decimal separator, one or two numeric columns, an
 optional header row and an optional leading date/time column (kept as
 opaque text and ignored by the math). A header row has as many fields as
 the data rows. Lines starting with '#' are metadata comments and are
-skipped on read.
+skipped on read. A line splits at its tabs if it has one, else at its
+commas. numpy's parser reads a body whose lines all split at one separator;
+a line-by-line walk with float() reads any other body, or one that parser
+refuses, and names the first bad line.
 """
 
 from __future__ import annotations
@@ -44,10 +47,12 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
     `dates` is None when there is no leading non-numeric column. Column
     names come from the header row when present, else col1, col2, ...
 
-    The layout is inferred from the first two data lines. The numeric
-    columns are parsed by numpy's C parser; where it refuses a cell, each
-    column is converted with float(), which takes the grammar only it knows
-    (`1_0`, non-ASCII digits) or names the first bad line.
+    The layout is inferred from the first two data lines. A body whose lines
+    all split on one separator (commas, or tabs on every line) is parsed by
+    numpy's C parser. Any other body, and any body that parser refuses, is
+    walked line by line: `_split` cuts each line, and float() converts each
+    cell, which reads the grammar only it knows (`1_0`, non-ASCII digits)
+    and names the first bad line.
     """
     with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
@@ -103,15 +108,14 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
     )
 
     body, numbers = (lines[1:], numbers[1:]) if has_header else (lines, numbers)
-    # each line splits on tabs if it has one, else on commas; a comma line
-    # has no tab, so turning its commas into tabs splits it the same way
-    sep = "\t" if "\t" in text else ","
-    if sep == "\t":
-        body = [line if "\t" in line else line.replace(",", "\t") for line in body]
+    # numpy cuts every line at one separator: tabs if any body line has one
+    # (_split cuts a tab line at its tabs; a plain body has none), else
+    # commas. The parser refuses a line without column ncols, so when it
+    # succeeds and the n joined lines hold n * ncols - 1 separators, each
+    # line has ncols - 1 and is cut as _split cuts it; a body that mixes tab
+    # and comma lines is refused
+    sep = "\t" if not plain and "\t" in "".join(body) else ","
     joined = sep.join(body)
-    cols = None
-    # the parser refuses a line without column ncols, so when it succeeds and
-    # the n joined lines hold n * ncols - 1 separators, each line has ncols - 1
     if joined.count(sep) == len(body) * ncols - 1:
         try:
             table = np.loadtxt(body, delimiter=sep, usecols=range(first_num, ncols),
@@ -119,44 +123,36 @@ def read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
         except ValueError:
             pass
         else:
-            cols = list(np.ascontiguousarray(table.T))
-    if cols is None:
-        cols = _float_columns(path, numbers, body, sep, ncols, first_num)
-    dates = None
-    if has_dates:
-        dates = joined.split(sep)[0::ncols]
-        if not plain:
-            dates = list(map(str.strip, dates))
-    return dates, cols, names
+            dates = None
+            if has_dates:
+                dates = joined.split(sep)[0::ncols]
+                if not plain:
+                    dates = list(map(str.strip, dates))
+            return dates, list(np.ascontiguousarray(table.T)), names
+    dates, cols = _walk(path, numbers, body, ncols, first_num)
+    return (dates if has_dates else None), cols, names
 
 
-def _float_columns(path, numbers, body, sep, ncols, first_num) -> list[np.ndarray]:
-    """The numeric columns converted cell by cell with float().
+def _walk(path, numbers, body, ncols, first_num) -> tuple[list[str], list[np.ndarray]]:
+    """(first cells, numeric columns) of the body, read a line at a time.
 
     Raises the CsvFormatError of the first bad line, if there is one.
     """
-    n = len(body)
-    if [line.count(sep) for line in body].count(ncols - 1) != n:
-        raise _line_error(path, numbers, body, sep, ncols, first_num)
-    cells = list(map(str.strip, sep.join(body).split(sep)))
-    try:
-        return [np.fromiter(map(float, cells[j::ncols]), float, n)
-                for j in range(first_num, ncols)]
-    except ValueError:
-        raise _line_error(path, numbers, body, sep, ncols, first_num) from None
-
-
-def _line_error(path, numbers, lines, sep, ncols, first_num) -> CsvFormatError:
-    """The CsvFormatError of the first bad data line."""
-    for index, line in zip(numbers, lines):
-        cells = [c.strip() for c in line.split(sep)]
+    firsts, values = [], []
+    for number, line in zip(numbers, body):
+        cells = _split(line)
         if len(cells) != ncols:
-            return CsvFormatError(
-                f"{path}:{index + 1}: expected {ncols} fields, got {len(cells)}"
-            )
+            raise CsvFormatError(f"{path}:{number + 1}: expected {ncols} fields, "
+                                 f"got {len(cells)}")
+        firsts.append(cells[0])
         for cell in cells[first_num:]:
-            if not _is_number(cell):
-                return CsvFormatError(f"{path}:{index + 1}: non-numeric value {cell!r}")
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise CsvFormatError(f"{path}:{number + 1}: non-numeric value "
+                                     f"{cell!r}") from None
+    table = np.array(values, dtype=float).reshape(len(body), ncols - first_num)
+    return firsts, list(np.ascontiguousarray(table.T))
 
 
 def read_series(path, column: int = 1) -> TimeSeries:

@@ -64,6 +64,8 @@ class EstimationConfig:
 
     def __post_init__(self):
         try:
+            if isinstance(self.q_grid, (str, bytes)):  # iterates as characters
+                raise TypeError
             qs = tuple(float(q) for q in self.q_grid)
         except (TypeError, ValueError):
             raise ParameterError(

@@ -747,6 +747,62 @@ def test_estimate_missing_column_exits_2(tmp_path, capsys, key):
             in capsys.readouterr().err)
 
 
+def write_dated_csv(path, start, values):
+    day = np.datetime64(start)
+    with open(path, "w") as fh:
+        fh.write("date,x\n")
+        fh.writelines(f"{day + i},{v}\n" for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "preset=real", "input=increments"],
+    ["decompose", "q=2", "tau_max=20", "input=increments"],
+])
+@pytest.mark.parametrize("y_start, message", [
+    ("2001-01-01", "dates differ at data row 1: '2000-01-01' in {a}, '2001-01-01' in {b}; "
+                   "two dated inputs must have the same dates"),
+    ("2000-01-02", "dates differ at data row 1: '2000-01-01' in {a}, '2000-01-02' in {b}; "
+                   "two dated inputs must have the same dates"),
+], ids=["disjoint_years", "one_day_shift"])
+def test_dated_inputs_with_different_dates_exit_2(tmp_path, capsys, command, y_start, message):
+    rng = np.random.default_rng(5)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_dated_csv(a, "2000-01-01", rng.standard_normal(600))
+    write_dated_csv(b, y_start, rng.standard_normal(600))
+    code = main([*command, "--in", str(a), "--in", str(b), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"mfhxa: {command[0]}: {message.format(a=a, b=b)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
+def test_dated_inputs_of_different_lengths_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_dated_csv(a, "2000-01-01", rng.standard_normal(600))
+    write_dated_csv(b, "2000-01-01", rng.standard_normal(601))
+    code = main(["estimate", "--in", str(a), "--in", str(b), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"mfhxa: estimate: {a} has 600 dated rows and {b} has 601; "
+        "two dated inputs must have the same dates\n")
+
+
+def test_a_dated_and_an_undated_input_pair_by_position(tmp_path):
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal(400), rng.standard_normal(400)
+    dated, undated, both = tmp_path / "d.csv", tmp_path / "u.csv", tmp_path / "d2.csv"
+    write_dated_csv(dated, "2000-01-01", x)
+    write_levels_csv(undated, y)
+    write_dated_csv(both, "2000-01-01", y)
+    args = ["estimate", "q_min=1", "q_max=2", "q_step=1", "tau_max=5..10", "--in", str(dated)]
+    assert main(args + ["--in", str(undated), "--out", str(tmp_path / "one")]) == 0
+    assert main(args + ["--in", str(both), "--out", str(tmp_path / "two")]) == 0
+    rows = [[line for line in Path(tmp_path / f"{out}.curve.tsv").read_text().splitlines()
+             if not line.startswith("#")] for out in ("one", "two")]
+    assert rows[0] == rows[1]
+
+
 def test_estimate_hashes_each_input_once(tmp_path, monkeypatch):
     import mfhxa.cli as cli
 
@@ -889,3 +945,33 @@ def test_market_pipeline_matches_its_golden_outputs(tmp_path):
                     continue
                 assert abs(float(g) - w_value) <= 1e-12 * abs(w_value), (kind, got_cells,
                                                                           want_cells)
+
+
+@pytest.mark.parametrize("cut", [
+    lambda line: line.replace(",", "\t"),
+    lambda line: " , ".join(line.split(",")),
+], ids=["tabs", "space_padded"])
+def test_market_pipeline_from_reformatted_fixtures_gives_the_golden_estimate(tmp_path, cut):
+    for out, (transform, source, _) in MARKET_TRANSFORMS.items():
+        copy = tmp_path / source
+        copy.write_text("".join(cut(line) + "\n"
+                                for line in (FIXTURES / source).read_text().splitlines()))
+        assert main(["transform", *transform, "--in", str(copy),
+                     "--out", str(tmp_path / out)]) == 0
+    assert main(["estimate", "preset=real", "input=increments",
+                 "--in", str(tmp_path / "absret.csv"), "--in", str(tmp_path / "voldev.csv"),
+                 "--out", str(tmp_path / "market")]) == 0
+    for kind in ("curve", "grid"):
+        got, want = ([cells for cells in TestReplicate.golden_cells(path)
+                      if not re.fullmatch(r"input\d+(_sha256)?", cells[0])]
+                     for path in (tmp_path / f"market.{kind}.tsv",
+                                  FIXTURES / f"market_estimate_{kind}.tsv"))
+        assert [len(cells) for cells in got] == [len(cells) for cells in want]
+        for got_cells, want_cells in zip(got, want):
+            for g, w in zip(got_cells, want_cells):
+                try:
+                    w_value = float(w)
+                except ValueError:  # a key, a note or NA
+                    assert g == w, (kind, got_cells, want_cells)
+                    continue
+                assert abs(float(g) - w_value) <= 1e-12 * abs(w_value), (kind, want_cells)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfhxa import csvio
 from mfhxa.csvio import format_number, read_columns, write_csv, write_table
 from mfhxa.errors import CsvFormatError
 
@@ -228,6 +229,10 @@ FIXED_FILES = {
     "manifest_then_padded_body": "# tool=mfhxa\ndate,x\n d1 ,1.5\n\n# note\nd2,2\n",
     "tab_body": "# tool=mfhxa\ndate\tx\ty\nd1\t1.5\t-2\nd2\t3\t4e-3\n",
     "tab_in_manifest_comma_body": "# a\tb\ndate,x\nd1,1\nd2,2\n",
+    # bodies whose lines split at different separators are walked line by
+    # line; each date is the first cell of its own line
+    "mixed_separator_dated_body": "date,x,y\nd1\t1\t2\nd2,3,4\nd3\t5\t6\n",
+    "tab_body_with_one_comma_line": "date\tx\ty\nd1\t1.5\t-2\nd2,3,4e-3\nd3\t5\t6\n",
 }
 
 ERROR_FILES = {
@@ -255,6 +260,22 @@ ERROR_FILES = {
     "count_error_after_a_float_only_value": "date,x\nd1,\uff11\nd2,2\nd3\n",
     "count_error_in_a_plain_body": "# tool=mfhxa\ndate,x,y\nd1,1,2\nd2,3\nd3,4,5,6\n",
 }
+
+
+@pytest.mark.parametrize("text, walked", [
+    ("date,x\nd1,1\nd2,2\n", False),
+    ("date\tx\nd1\t1\nd2\t2\n", False),
+    ("date , x\n d1 , 1\nd2 ,2\n", False),
+    ("date,x\nd1\t1\nd2,2\n", True),
+    ("date,x\nd1,1_0\nd2,2\n", True),
+], ids=["plain", "tabs", "padded", "mixed", "refused"])
+def test_only_mixed_or_refused_bodies_are_walked(tmp_path, monkeypatch, text, walked):
+    walks = []
+    walk = csvio._walk
+    monkeypatch.setattr(csvio, "_walk", lambda *args: walks.append(args) or walk(*args))
+    path = write_text(tmp_path / "f.csv", text)
+    assert_same_read(path)
+    assert len(walks) == walked
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_FILES))

@@ -100,6 +100,7 @@ class TestConfig:
         (dict(q_grid=2.0), "q_grid must be a sequence of numbers"),
         (dict(q_grid=("a",)), "q_grid must be a sequence of numbers"),
         (dict(q_grid=(1.0, None)), "q_grid must be a sequence of numbers"),
+        (dict(q_grid="12"), "q_grid must be a sequence of numbers"),
     ])
     def test_shape_errors_name_their_field(self, kwargs, message):
         with pytest.raises(ParameterError) as info:
