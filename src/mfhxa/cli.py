@@ -26,8 +26,8 @@ import numpy
 import scipy
 
 from . import __version__
-from .csvio import format_number, read_columns, write_csv
-from .errors import CsvFormatError, MfhxaError, ParameterError
+from .csvio import column_series, format_number, read_columns, write_csv
+from .errors import MfhxaError, ParameterError
 from .estimator import (
     FILTERS,
     Q_STEP,
@@ -233,12 +233,8 @@ def cmd_transform(name: str, params: Params, inputs, out: Path) -> int:
         meta["window"] = window
     params.reject_unknown()
 
-    dates, cols, names = read_columns(in_path)
-    if not 1 <= column <= len(cols):
-        raise ParameterError(
-            f"col={column} but input has {len(cols)} numeric column(s)"
-        )
-    series = TimeSeries(cols[column - 1], names[column - 1])
+    table = read_columns(in_path)
+    dates, series = table[0], column_series(in_path, table, column)
     if name == "log-returns":
         result = log_returns(series)
     elif name == "abs-returns":
@@ -297,25 +293,14 @@ def _read_pair(paths: list[Path], source: dict):
     """
     x_col, y_col = source["x_col"], source["y_col"]
     x_table = read_columns(paths[0])
-    series = [_series(paths[0], x_table, x_col)]
+    series = [column_series(paths[0], x_table, x_col)]
     if len(paths) == 2 or y_col != x_col:
         y_table = read_columns(paths[1]) if len(paths) == 2 else x_table
-        series.append(_series(paths[-1], y_table, y_col))
+        series.append(column_series(paths[-1], y_table, y_col))
         _check_dates(paths, x_table[0], y_table[0])
     if source["input"] == "increments":
         series = [accumulate(s) for s in series]
     return series[0], series[-1]
-
-
-def _series(path: Path, table, column: int) -> TimeSeries:
-    """Numeric column `column` (1-based) of the read_columns result `table`,
-    refused as read_series refuses it."""
-    _, cols, names = table
-    if not 1 <= column <= len(cols):
-        raise CsvFormatError(
-            f"{path}: column {column} requested but file has {len(cols)} numeric column(s)"
-        )
-    return TimeSeries(cols[column - 1], names[column - 1])
 
 
 def _check_dates(paths: list[Path], x_dates, y_dates) -> None:

@@ -7,7 +7,8 @@ the data rows. Lines starting with '#' are metadata comments and are
 skipped on read. A line splits at its tabs if it has one, else at its
 commas. numpy's parser reads a body whose lines all split at one separator;
 a line-by-line walk with float() reads any other body, or one that parser
-refuses, and names the first bad line.
+refuses, and names the first bad line. Columns are numbered from 1 among the
+numeric ones; a number past them is refused, naming the file and its count.
 """
 
 from __future__ import annotations
@@ -155,14 +156,20 @@ def _walk(path, numbers, body, ncols, first_num) -> tuple[list[str], list[np.nda
     return firsts, list(np.ascontiguousarray(table.T))
 
 
-def read_series(path, column: int = 1) -> TimeSeries:
-    """Read one numeric column (1-based index among numeric columns)."""
-    _, cols, names = read_columns(path)
+def column_series(path, table, column: int) -> TimeSeries:
+    """Numeric column `column` (1-based) of `table`, the read_columns result of
+    `path`; one past its numeric columns raises CsvFormatError with their count."""
+    _, cols, names = table
     if not 1 <= column <= len(cols):
         raise CsvFormatError(
             f"{path}: column {column} requested but file has {len(cols)} numeric column(s)"
         )
     return TimeSeries(cols[column - 1], names[column - 1])
+
+
+def read_series(path, column: int = 1) -> TimeSeries:
+    """Read one numeric column (1-based index among numeric columns)."""
+    return column_series(path, read_columns(path), column)
 
 
 def _number_column(column: np.ndarray) -> tuple[str, list]:

@@ -197,6 +197,14 @@ def _check_pair(x: TimeSeries, y: TimeSeries, max_tau: int) -> None:
         )
 
 
+def _one_q(q: float, config: EstimationConfig | None = None) -> EstimationConfig | None:
+    """config with q_grid=(q,) (None without a config), refused unless q is
+    finite and > 0; the one q rule of the single-q entry points."""
+    if not 0 < q < math.inf:
+        raise ParameterError(f"q must be finite and > 0, got {q}")
+    return None if config is None else dataclasses.replace(config, q_grid=(float(q),))
+
+
 def height_covariance(
     x: TimeSeries, y: TimeSeries, q: float, tau: int, filter: str = "none"
 ) -> float:
@@ -207,8 +215,7 @@ def height_covariance(
     directly at one cell; grids and every pair statistic come from the pair
     kernel, which agrees with it to rounding.
     """
-    if not 0 < q < math.inf:
-        raise ParameterError(f"q must be finite and > 0, got {q}")
+    _one_q(q)
     tau = _integer("tau", tau, 1)
     _check_pair(x, y, tau)
     dx = _filtered_increments(x.values, tau, filter)
@@ -680,10 +687,7 @@ def scaling_decomposition(
     |dY|^(q/2); their sum reproduces the scaling function exactly. alpha(q)
     is the log-log slope of the covariance term over tau, divided by q.
     """
-    if not 0 < q < math.inf:
-        raise ParameterError(f"q must be finite and > 0, got {q}")
-    sub = dataclasses.replace(config, q_grid=(float(q),))
-    return pair_moments(x, y, sub, split=True).decomposition()
+    return pair_moments(x, y, _one_q(q, config), split=True).decomposition()
 
 
 @dataclass(frozen=True)
@@ -719,7 +723,7 @@ def cross_persistence_verdict(
     (the average falls below the CI), 'below' for the opposite, 'none'
     when the average lies inside the interval.
     """
-    sub = dataclasses.replace(config, q_grid=(float(q),))
+    sub = _one_q(q, config)
     moments = pair_moments(x, y, sub)
     k = _checked_k(np.vstack((moments.k_xy, moments.k_xx, moments.k_yy)))
     results = _jackknife_rows(tuple(sub.taus), k, (q, q, q), sub)

@@ -35,19 +35,19 @@ def config_comments(config: EstimationConfig) -> list[str]:
     ]
 
 
+def _header(result, comments) -> list[str]:
+    """The comment block of a grid or curve table: the series labels, the given
+    comments, then the estimation config."""
+    return ([f"series_x={result.x_label}", f"series_y={result.y_label}"]
+            + list(comments) + config_comments(result.config))
+
+
 def write_grid(path, grid: HeightCovarianceGrid, comments: list[str] = ()) -> None:
     """Rows of (q, tau, K) covering the whole lattice."""
     taus = grid.tau_values
     rows = list(zip(np.repeat(grid.q_values, len(taus)).tolist(),
                     taus * len(grid.q_values), grid.k_matrix.ravel().tolist()))
-    write_table(
-        path,
-        [f"series_x={grid.x_label}", f"series_y={grid.y_label}"]
-        + list(comments)
-        + config_comments(grid.config),
-        ["q", "tau", "k"],
-        rows,
-    )
+    write_table(path, _header(grid, comments), ["q", "tau", "k"], rows)
 
 
 def _curve_cells(result):
@@ -61,9 +61,7 @@ def write_curve(path, curve: GeneralizedHurstCurve, comments: list[str] = ()) ->
     """Rows of (q, h, ci_low, ci_high, n, note); failed q keep a note only."""
     write_table(
         path,
-        [f"series_x={curve.x_label}", f"series_y={curve.y_label}"]
-        + list(comments)
-        + config_comments(curve.config),
+        _header(curve, comments),
         ["q", "h", "ci_low", "ci_high", "n", "note"],
         [(q, *_curve_cells(r)) for q, r in zip(curve.q_values, curve.results)],
     )
@@ -76,30 +74,21 @@ def write_pair_curves(
     y_curve: GeneralizedHurstCurve,
     comments: list[str] = (),
 ) -> None:
-    """Joint and univariate exponents side by side, with the average column."""
+    """Joint and univariate exponents side by side, with the average column; the
+    note is "ok" or the joint, "x: " and "y: " failures at that q, joined by "; "."""
     if not xy.q_values == x_curve.q_values == y_curve.q_values:
         raise ParameterError("the joint and univariate curves must share one q grid")
     rows = []
     for q, r_xy, r_x, r_y in zip(xy.q_values, xy.results, x_curve.results, y_curve.results):
-        h_xy, lo, hi, n, note_xy = _curve_cells(r_xy)
-        h_x, h_y = _curve_cells(r_x), _curve_cells(r_y)
-        notes = [note_xy]
-        for tag, cells in (("x", h_x), ("y", h_y)):
-            if cells[4] != "ok":
-                notes.append(f"{tag}: {cells[4]}")
-        if all(isinstance(v, float) for v in (h_x[0], h_y[0])):
-            h_avg = 0.5 * (h_x[0] + h_y[0])
-        else:
-            h_avg = NA
-        note = "ok" if notes == ["ok"] else "; ".join(
-            n for n in notes if n != "ok"
-        )
-        rows.append((q, h_x[0], h_y[0], h_xy, lo, hi, h_avg, n, note))
+        h_xy, lo, hi, n, _ = _curve_cells(r_xy)
+        h_x, h_y = _curve_cells(r_x)[0], _curve_cells(r_y)[0]
+        h_avg = NA if NA in (h_x, h_y) else 0.5 * (h_x + h_y)
+        note = "; ".join(tag + r for tag, r in (("", r_xy), ("x: ", r_x), ("y: ", r_y))
+                         if isinstance(r, str)) or "ok"
+        rows.append((q, h_x, h_y, h_xy, lo, hi, h_avg, n, note))
     write_table(
         path,
-        [f"series_x={xy.x_label}", f"series_y={xy.y_label}"]
-        + list(comments)
-        + config_comments(xy.config),
+        _header(xy, comments),
         ["q", "h_x", "h_y", "h_xy", "ci_low", "ci_high", "h_avg", "n", "note"],
         rows,
     )

@@ -8,7 +8,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mfhxa import (
     ArfimaConfig,

@@ -203,8 +203,12 @@ FIGURE_NAMES = ("fig1a, fig1b, fig1c, fig1d, fig1e, fig1f, fig1g, fig1h, "
     (["estimate", "y=self"], None, "estimate: unknown parameter key(s): y"),
     (["estimate"] + ["--in", str(FIXTURES / "market_prices.csv")] * 3, None,
      "estimate: expected 1 or 2 --in PATH argument(s), got 3"),
-    (["transform", "abs-returns", "col=2", "--in", str(FIXTURES / "market_prices.csv")],
-     None, "transform: col=2 but input has 1 numeric column(s)"),
+    # the id keeps the fixture's path, which differs between checkouts, out of the name
+    pytest.param(["transform", "abs-returns", "col=2", "--in",
+                  str(FIXTURES / "market_prices.csv")], None,
+                 f"transform: {FIXTURES / 'market_prices.csv'}: column 2 requested but "
+                 "file has 1 numeric column(s)",
+                 id="argv30-None-transform: column 2 requested but file has 1 numeric column(s)"),
 ])
 def test_parameter_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv,
                                                env_seed, line):
@@ -734,17 +738,23 @@ def test_estimate_with_too_short_a_first_window_exits_2_before_reading(tmp_path,
     assert read == [] and list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("key", ["x_col", "y_col"])
-def test_estimate_missing_column_exits_2(tmp_path, capsys, key):
+@pytest.mark.parametrize("command, key, bad", [
+    (["estimate"], "x_col", "a.csv"),
+    (["estimate"], "y_col", "b.csv"),
+    (["transform", "abs-returns"], "col", "a.csv"),
+    (["decompose", "q=2"], "x_col", "a.csv"),
+], ids=["x_col", "y_col", "transform-col", "decompose-x_col"])
+def test_estimate_missing_column_exits_2(tmp_path, capsys, command, key, bad):
+    # every command picks its columns by one rule, refused with one line
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_levels_csv(a, np.arange(200.0))
     write_levels_csv(b, np.arange(200.0) ** 1.5)
-    code = main(["estimate", f"{key}=2", "--in", str(a), "--in", str(b),
-                 "--out", str(tmp_path / "est")])
+    inputs = ["--in", str(a)] if command[0] == "transform" else ["--in", str(a), "--in", str(b)]
+    code = main([*command, f"{key}=2", *inputs, "--out", str(tmp_path / "out")])
     assert code == 2
-    bad = a if key == "x_col" else b
-    assert (f"{bad}: column 2 requested but file has 1 numeric column(s)"
-            in capsys.readouterr().err)
+    assert capsys.readouterr().err == (f"mfhxa: {command[0]}: {tmp_path / bad}: column 2 "
+                                       "requested but file has 1 numeric column(s)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
 def write_dated_csv(path, start, values):

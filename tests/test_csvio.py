@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfhxa import csvio
-from mfhxa.csvio import format_number, read_columns, write_csv, write_table
+from mfhxa.csvio import format_number, read_columns, read_series, write_csv, write_table
 from mfhxa.errors import CsvFormatError
 
 # ------------------------------------------------------------ slow references
@@ -323,6 +323,26 @@ def test_market_fixtures_match_reference():
     fixtures = Path(__file__).parent / "fixtures"
     for name in ("market_prices.csv", "market_volumes.csv"):
         assert_same_read(fixtures / name)
+
+
+@pytest.mark.parametrize("column, name, values", [
+    (1, "price", [1.5, 3.0]), (2, "volume", [10.0, 20.0])])
+def test_read_series_returns_the_named_column(tmp_path, column, name, values):
+    src = tmp_path / "pv.csv"
+    src.write_text("date,price,volume\n2020-01-01,1.5,10\n2020-01-02,3,20\n")
+    series = read_series(src, column)
+    assert series.label == name
+    assert series.values.tolist() == values
+
+
+@pytest.mark.parametrize("column", [0, 3, -1])
+def test_read_series_refuses_a_column_past_the_numeric_ones(tmp_path, column):
+    src = tmp_path / "pv.csv"
+    src.write_text("date,price,volume\n2020-01-01,1.5,10\n2020-01-02,3,20\n")
+    with pytest.raises(CsvFormatError) as info:
+        read_series(src, column)
+    assert str(info.value) == (f"{src}: column {column} requested but file has "
+                               "2 numeric column(s)")
 
 
 WRITE_CASES = {

@@ -593,6 +593,20 @@ class TestVerdict:
         assert str(info.value) == "covariance grid entries must be finite and >= 0"
 
 
+@pytest.mark.parametrize("entry", [
+    lambda x, q: height_covariance(x, x, q, 1),
+    lambda x, q: scaling_decomposition(x, x, q, EstimationConfig(q_grid=(1.0,),
+                                                                 tau_max_range=(5, 5))),
+    lambda x, q: cross_persistence_verdict(x, x, q, EstimationConfig(q_grid=(2.0,),
+                                                                     tau_max_range=(5, 5))),
+], ids=["height_covariance", "scaling_decomposition", "cross_persistence_verdict"])
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0])
+def test_one_q_entry_points_share_one_q_rule(entry, q):
+    with pytest.raises(ParameterError) as info:
+        entry(series([1, 2, 3] * 4), q)
+    assert str(info.value) == f"q must be finite and > 0, got {q}"
+
+
 class TestKnownProcesses:
     def test_single_window_fit_recovers_arfima_exponent(self):
         from mfhxa import ArfimaConfig, accumulate, generate_arfima

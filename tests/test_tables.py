@@ -86,7 +86,7 @@ def test_pair_curves_must_share_one_q_grid(tmp_path, walk_pair):
 
 
 def test_pair_curve_rows_note_each_failed_univariate_curve(tmp_path):
-    cfg = EstimationConfig(q_grid=(1.0, 2.0, 3.0), tau_max_range=(4, 8))
+    cfg = EstimationConfig(q_grid=(1.0, 2.0, 3.0, 4.0, 5.0), tau_max_range=(4, 8))
     qs = cfg.q_grid
 
     def curve(results, label):
@@ -98,9 +98,11 @@ def test_pair_curve_rows_note_each_failed_univariate_curve(tmp_path):
     x_failed = "tau_max=4: K(q=1, tau=2) = 0: scaling function is degenerate, " \
                "no Hurst exponent exists"
     y_failed = "tau_max=4: 2 tau values available up to tau_max=4, need 3"
-    xy = curve([est(q, 0.5) for q in qs], "x")
-    xx = curve([x_failed, est(2.0, 0.75), est(3.0, 0.75)], "x")
-    yy = curve([est(1.0, 0.25), est(2.0, 0.25), y_failed], "y")
+    xy_failed = "tau_max=4: K(q=4, tau=2) = 0: scaling function is degenerate, " \
+                "no Hurst exponent exists"
+    xy = curve([est(1.0, 0.5), est(2.0, 0.5), est(3.0, 0.5), xy_failed, xy_failed], "x")
+    xx = curve([x_failed, est(2.0, 0.75), est(3.0, 0.75), est(4.0, 0.75), x_failed], "x")
+    yy = curve([est(1.0, 0.25), est(2.0, 0.25), y_failed, est(4.0, 0.25), y_failed], "y")
     out = tmp_path / "pair.tsv"
     write_pair_curves(out, xy, xx, yy)
     _, header, rows = parse(out)
@@ -109,6 +111,9 @@ def test_pair_curve_rows_note_each_failed_univariate_curve(tmp_path):
         ["1", "NA", "0.25", "0.5", "0.375", "0.625", "NA", "2", f"x: {x_failed}"],
         ["2", "0.75", "0.25", "0.5", "0.375", "0.625", "0.5", "2", "ok"],
         ["3", "0.75", "NA", "0.5", "0.375", "0.625", "NA", "2", f"y: {y_failed}"],
+        ["4", "0.75", "0.25", "NA", "NA", "NA", "0.5", "0", xy_failed],
+        ["5", "NA", "NA", "NA", "NA", "NA", "NA", "0",
+         f"{xy_failed}; x: {x_failed}; y: {y_failed}"],
     ]
 
 
