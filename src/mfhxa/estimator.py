@@ -46,7 +46,7 @@ from .errors import (
     MfhxaError,
     ParameterError,
 )
-from .series import TimeSeries, _integer, _integer_fields
+from .series import TimeSeries, _integer, _integer_fields, _real, _real_fields
 
 FILTERS = ("none", "constant", "linear")
 
@@ -99,10 +99,7 @@ class EstimationConfig:
             raise ParameterError(
                 f"filter must be one of {FILTERS}, got {self.filter!r}"
             )
-        if not 0.0 < self.confidence < 1.0:
-            raise ParameterError(
-                f"confidence must lie in (0, 1), got {self.confidence}"
-            )
+        _real_fields(self, confidence=(0, 1))
 
     @property
     def tau_maxes(self) -> range:
@@ -197,12 +194,18 @@ def _check_pair(x: TimeSeries, y: TimeSeries, max_tau: int) -> None:
         )
 
 
-def _one_q(q: float, config: EstimationConfig | None = None) -> EstimationConfig | None:
-    """config with q_grid=(q,) (None without a config), refused unless q is
-    finite and > 0; the one q rule of the single-q entry points."""
-    if not 0 < q < math.inf:
+def _q(q) -> float:
+    """q as a float, refused unless it is a real number, finite and > 0: the
+    q rule of the single-q entry points and of every grid."""
+    value = _real("q", q)
+    if not 0 < value < math.inf:
         raise ParameterError(f"q must be finite and > 0, got {q}")
-    return None if config is None else dataclasses.replace(config, q_grid=(float(q),))
+    return value
+
+
+def _one_q(q: float, config: EstimationConfig) -> EstimationConfig:
+    """config with q_grid=(q,), refused unless q passes the q rule."""
+    return dataclasses.replace(config, q_grid=(_q(q),))
 
 
 def height_covariance(
@@ -215,7 +218,7 @@ def height_covariance(
     directly at one cell; grids and every pair statistic come from the pair
     kernel, which agrees with it to rounding.
     """
-    _one_q(q)
+    q = _q(q)
     tau = _integer("tau", tau, 1)
     _check_pair(x, y, tau)
     dx = _filtered_increments(x.values, tau, filter)
@@ -250,7 +253,7 @@ class HeightCovarianceGrid:
                 f"{len(self.q_values)} q values x {len(self.tau_values)} tau values"
             )
         k = _checked_k(k).copy()
-        qs = tuple(float(q) for q in self.q_values)
+        qs = tuple(_q(q) for q in self.q_values)
         taus = tuple(_integer("tau", t, 1) for t in self.tau_values)
         for what, v in (("q values", qs), ("tau values", taus)):
             if any(b <= a for a, b in zip(v, v[1:])):
@@ -522,8 +525,7 @@ def student_t_quantile(p: float, dof: int) -> float:
     scipy.special is imported on the first call, not with the module: only
     intervals need it, and it more than doubled a cold `import mfhxa.cli`.
     """
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0, 1), got {p}")
+    p = _real("p", p, 0, 1)
     if dof < 1:
         raise ParameterError(f"dof must be >= 1, got {dof}")
     if p == 0.5:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .series import TimeSeries, _integer, _integer_fields
+from .series import TimeSeries, _integer, _integer_fields, _real, _real_fields
 
 DEFAULT_TRUNCATION = 10_000
 DEFAULT_BURN_IN = 2_000
@@ -50,8 +50,7 @@ class MbmConfig:
 
     def __post_init__(self):
         _integer_fields(self, k=None)
-        if not 0.0 < self.m0 < 1.0:
-            raise ParameterError(f"m0 must lie in (0, 1), got {self.m0}")
+        _real_fields(self, m0=(0, 1))
         if not 1 <= self.k <= MAX_CASCADE_STAGES:
             raise ParameterError(
                 f"k must lie in 1..{MAX_CASCADE_STAGES}, got {self.k}"
@@ -70,8 +69,7 @@ class ArfimaConfig:
 
     def __post_init__(self):
         _integer_fields(self, length=1, truncation=1, burn_in=0, seed=0)
-        if not 0.0 < self.d < 0.5:
-            raise ParameterError(f"d must lie in (0, 0.5), got {self.d}")
+        _real_fields(self, d=(0, 0.5))
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,7 @@ class NoisePairConfig:
 
     def __post_init__(self):
         _integer_fields(self, length=1, seed=0)
-        if not -1.0 <= self.rho <= 1.0:
-            raise ParameterError(f"rho must lie in [-1, 1], got {self.rho}")
+        _real_fields(self, closed=True, rho=(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -102,11 +99,8 @@ class TwoComponentConfig:
 
     def __post_init__(self):
         _integer_fields(self, length=1, burn_in=0, truncation=1, seed=0)
-        for name, d in (("d1", self.d1), ("d2", self.d2)):
-            if not 0.0 < d < 0.5:
-                raise ParameterError(f"{name} must lie in (0, 0.5), got {d}")
-        if not 0.5 <= self.w <= 1.0:
-            raise ParameterError(f"w must lie in [0.5, 1], got {self.w}")
+        _real_fields(self, d1=(0, 0.5), d2=(0, 0.5))
+        _real_fields(self, closed=True, w=(0.5, 1))
 
 
 def arfima_weights(d: float, max_lag: int) -> np.ndarray:
@@ -116,8 +110,7 @@ def arfima_weights(d: float, max_lag: int) -> np.ndarray:
     equivalent to d*Gamma(i-d) / (Gamma(1-d)*Gamma(1+i)) without overflow.
     All weights are positive and strictly decreasing.
     """
-    if not 0.0 < d < 0.5:
-        raise ParameterError(f"d must lie in (0, 0.5), got {d}")
+    d = _real("d", d, 0, 0.5)
     max_lag = _integer("max_lag", max_lag, 1)
     i = np.arange(1, max_lag, dtype=float)
     return d * np.concatenate(([1.0], np.cumprod((i - d) / (i + 1.0))))

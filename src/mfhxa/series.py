@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -31,6 +32,24 @@ def _integer_fields(obj, **minimums: int | None) -> None:
     """Store each named field of a frozen dataclass as _integer(name, value, minimum)."""
     for name, minimum in minimums.items():
         object.__setattr__(obj, name, _integer(name, getattr(obj, name), minimum))
+
+
+def _real(name: str, value, low: float | None = None, high: float | None = None,
+          closed: bool = False) -> float:
+    """value as a float; anything but a real number raises ParameterError, and
+    so does a value outside (low, high), or [low, high] when closed, if given."""
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    if low is not None and not (low <= value <= high if closed else low < value < high):
+        left, right = "[]" if closed else "()"
+        raise ParameterError(f"{name} must lie in {left}{low:g}, {high:g}{right}, got {value}")
+    return float(value)
+
+
+def _real_fields(obj, closed: bool = False, **ranges: tuple[float, float]) -> None:
+    """Store each named field of a frozen dataclass as _real(name, value, *range, closed)."""
+    for name, (low, high) in ranges.items():
+        object.__setattr__(obj, name, _real(name, getattr(obj, name), low, high, closed))
 
 
 def _finite_1d(values, what: str) -> np.ndarray:

@@ -30,6 +30,7 @@ from mfhxa import (
     scaling_decomposition,
 )
 from mfhxa.cli import main
+from reference import mbm_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -114,10 +115,6 @@ def test_c03_exact_power_law_recovery():
                 assert est.ci_high - est.ci_low < 1e-10
     report(3, "synthetic power-law grids recover H0 to 1e-10 with zero-width CI",
            True, f"worst |H-H0| {worst_h:.2e}, worst width {worst_w:.2e}")
-
-
-def mbm_oracle(q: float, m0: float) -> float:
-    return 1.0 / q - math.log2(m0**q + (1.0 - m0) ** q) / q
 
 
 def test_c04_mbm_analytic_oracle():

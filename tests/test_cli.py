@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -16,36 +15,9 @@ import mfhxa
 import mfhxa.cli
 from mfhxa.cli import main
 from mfhxa.csvio import format_number
+from reference import VERSION_KEYS, assert_same_table, column, lines_without, read_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def read_numeric(path):
-    """Parse a CSV/TSV output file into (comments, header, column arrays)."""
-    comments, rows = [], []
-    header = None
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            comments.append(line)
-            continue
-        cells = line.split("\t") if "\t" in line else line.split(",")
-        if header is None:
-            header = cells
-            continue
-        rows.append(cells)
-    return comments, header, rows
-
-
-def numeric_column(rows, idx):
-    return np.array([float(r[idx]) for r in rows])
-
-
-def strip_timestamp(path):
-    return [
-        line
-        for line in Path(path).read_text().splitlines()
-        if not line.startswith("# timestamp=")
-    ]
 
 
 def write_levels_csv(path, values, label="x"):
@@ -59,8 +31,8 @@ class TestGenerate:
     def test_mbm_cascade(self, tmp_path, capsys):
         out = tmp_path / "mbm.csv"
         assert main(["generate", "mbm", "m0=0.3", "k=4", "--out", str(out)]) == 0
-        comments, header, rows = read_numeric(out)
-        values = numeric_column(rows, 0)
+        comments, header, rows = read_table(out)
+        values = column(rows, 0)
         assert header == ["mbm"]
         assert len(values) == 16
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -73,8 +45,8 @@ class TestGenerate:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        assert strip_timestamp(out1) == strip_timestamp(out2)
-        _, header, rows = read_numeric(out1)
+        assert lines_without(out1, "timestamp") == lines_without(out2, "timestamp")
+        _, header, rows = read_table(out1)
         assert header == ["x", "y"]
         assert len(rows) == 400
 
@@ -84,7 +56,7 @@ class TestGenerate:
                      "length=300", "burn_in=20", "truncation=100", "seed=7",
                      "--out", str(out)])
         assert code == 0
-        _, header, rows = read_numeric(out)
+        _, header, rows = read_table(out)
         assert header == ["x", "y"] and len(rows) == 300
 
     @pytest.mark.parametrize("name, config, build", [
@@ -101,9 +73,9 @@ class TestGenerate:
         out = tmp_path / "g.csv"
         argv = ["generate", name, *(f"{k}={v}" for k, v in values.items())]
         assert main(argv + ["--out", str(out)]) == 0
-        comments, _, rows = read_numeric(out)
+        comments, _, rows = read_table(out)
         for key, value in values.items():
-            assert f"# {key}={value}" in comments
+            assert f"{key}={value}" in comments
         want = [s.values for s in build(config)]
         assert [[float(cell) for cell in row] for row in rows] == [
             [float(format_number(v)) for v in cells] for cells in zip(*want)]
@@ -139,7 +111,7 @@ class TestGenerate:
         monkeypatch.delenv("MFHXA_SEED")
         assert main(["generate", "arfima", "d=0.3", "length=100", "burn_in=10",
                      "truncation=50", "seed=42", "--out", str(out2)]) == 0
-        assert strip_timestamp(out1) == strip_timestamp(out2)
+        assert lines_without(out1, "timestamp") == lines_without(out2, "timestamp")
 
 
 ARFIMA = ["generate", "arfima", "d=0.3", "length=100"]
@@ -232,18 +204,18 @@ class TestTransform:
         write_levels_csv(src, [100.0] * 6, "price")
         out = tmp_path / "v.csv"
         assert main(["transform", "abs-returns", "--in", str(src), "--out", str(out)]) == 0
-        _, header, rows = read_numeric(out)
+        _, header, rows = read_table(out)
         assert header == ["abs-returns"]
-        assert numeric_column(rows, 0).tolist() == [0.0] * 5
+        assert column(rows, 0).tolist() == [0.0] * 5
 
     def test_log_returns_hand_values(self, tmp_path):
         src = tmp_path / "p.csv"
         write_levels_csv(src, [100.0, 110.0, 99.0], "price")
         out = tmp_path / "r.csv"
         assert main(["transform", "log-returns", "--in", str(src), "--out", str(out)]) == 0
-        _, _, rows = read_numeric(out)
+        _, _, rows = read_table(out)
         np.testing.assert_allclose(
-            numeric_column(rows, 0), [math.log(1.1), math.log(0.9)], rtol=1e-10
+            column(rows, 0), [math.log(1.1), math.log(0.9)], rtol=1e-10
         )
 
     def test_volume_deviation_row_count(self, tmp_path):
@@ -252,7 +224,7 @@ class TestTransform:
         code = main(["transform", "volume-deviation", "window=500",
                      "--in", str(FIXTURES / "market_volumes.csv"), "--out", str(out)])
         assert code == 0
-        _, header, rows = read_numeric(out)
+        _, header, rows = read_table(out)
         assert header == ["date", "volume-deviation"]
         assert len(rows) == 6193
 
@@ -264,7 +236,7 @@ class TestTransform:
                 fh.write(f"2020-01-0{i + 1},{p}\n")
         out = tmp_path / "r.csv"
         assert main(["transform", "log-returns", "--in", str(src), "--out", str(out)]) == 0
-        _, header, rows = read_numeric(out)
+        _, header, rows = read_table(out)
         assert header == ["date", "log-returns"]
         assert [r[0] for r in rows] == ["2020-01-02", "2020-01-03", "2020-01-04"]
 
@@ -317,14 +289,14 @@ class TestEstimate:
         code = main(["estimate", "q_min=1", "q_max=3", "q_step=1", "tau_max=5..20",
                      "filter=none", "--in", str(src), "--out", str(out)])
         assert code == 0
-        comments, header, rows = read_numeric(f"{out}.curve.tsv")
+        comments, header, rows = read_table(f"{out}.curve.tsv")
         assert header == ["q", "h", "ci_low", "ci_high", "n", "note"]
         assert len(rows) == 3
         for row in rows:
             assert float(row[1]) == pytest.approx(1.0, abs=1e-9)
             assert row[5] == "ok"
         assert Path(f"{out}.grid.tsv").exists()
-        gc, gh, grows = read_numeric(f"{out}.grid.tsv")
+        gc, gh, grows = read_table(f"{out}.grid.tsv")
         assert gh == ["q", "tau", "k"]
         assert len(grows) == 3 * 20
 
@@ -338,7 +310,7 @@ class TestEstimate:
         code = main(["estimate", "q_min=1", "q_max=2", "q_step=0.5", "tau_max=5..20",
                      "--in", str(xa), "--in", str(ya), "--out", str(out)])
         assert code == 0
-        _, header, rows = read_numeric(f"{out}.curve.tsv")
+        _, header, rows = read_table(f"{out}.curve.tsv")
         assert header == ["q", "h_x", "h_y", "h_xy", "ci_low", "ci_high", "h_avg", "n", "note"]
         for row in rows:
             assert float(row[6]) == pytest.approx(
@@ -366,7 +338,7 @@ class TestEstimate:
         code = main(["estimate", "q_min=1", "q_max=2", "q_step=1", "tau_max=5..10",
                      "filter=none", "--in", str(src), "--out", str(tmp_path / "o")])
         assert code != 0
-        _, _, rows = read_numeric(str(tmp_path / "o") + ".curve.tsv")
+        _, _, rows = read_table(str(tmp_path / "o") + ".curve.tsv")
         assert all(r[1] == "NA" for r in rows)
 
 
@@ -380,7 +352,7 @@ class TestDecompose:
         code = main(["decompose", "q=2", "tau_max=10", "filter=none",
                      "--in", str(src), "--in", str(src), "--out", str(out)])
         assert code == 0
-        comments, header, rows = read_numeric(out)
+        comments, header, rows = read_table(out)
         assert header == ["tau", "k_x", "k_y", "product_term", "covariance_term"]
         assert len(rows) == 10
         for row in rows:
@@ -392,8 +364,8 @@ class TestDecompose:
             # file values carry 12 significant digits
             assert product == pytest.approx(float(np.mean(d)) ** 2, rel=1e-10)
             assert product + cov == pytest.approx(k_x, rel=1e-9)
-        assert any(c.startswith("# h_x=") for c in comments)
-        assert any(c.startswith("# alpha=") for c in comments)
+        assert any(c.startswith("h_x=") for c in comments)
+        assert any(c.startswith("alpha=") for c in comments)
 
     def test_missing_q_is_error(self, tmp_path, capsys):
         src = tmp_path / "x.csv"
@@ -423,9 +395,9 @@ class TestDecompose:
         write_levels_csv(src, np.random.default_rng(5).standard_normal(200).cumsum())
         out = tmp_path / "dec.tsv"
         assert main(["decompose", "q=2", "--in", str(src), "--out", str(out)]) == 0
-        comments, header, rows = read_numeric(out)
+        comments, header, rows = read_table(out)
         for line in ("tau_min=1", "tau_max=20", "filter=constant", "min_fit_points=4"):
-            assert f"# {line}" in comments
+            assert line in comments
         assert [int(row[0]) for row in rows] == list(range(1, 21))
 
 
@@ -440,10 +412,10 @@ class TestReplicate:
         code = main(["replicate", "fig2c", "seed=3", "--out", str(tmp_path)])
         assert code == 0
         out = tmp_path / "fig2c_decomposition.tsv"
-        comments, header, rows = read_numeric(out)
+        comments, header, rows = read_table(out)
         assert len(rows) == 20
-        alpha = float(next(c for c in comments if c.startswith("# alpha=")).split("=")[1])
-        h_x = float(next(c for c in comments if c.startswith("# h_x=")).split("=")[1])
+        alpha = float(next(c for c in comments if c.startswith("alpha=")).split("=")[1])
+        h_x = float(next(c for c in comments if c.startswith("h_x=")).split("=")[1])
         # coupled memories: covariance scaling well above the separate exponents
         assert 0.6 < h_x < 0.9
         assert alpha > h_x
@@ -453,15 +425,15 @@ class TestReplicate:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [f"fig2b_rho_{r}_decomposition.tsv" for r in ("-0.5", "-1", "0.5", "1")]
         for rho in ("-0.5", "-1", "0.5", "1"):
-            comments, header, rows = read_numeric(tmp_path / f"fig2b_rho_{rho}_decomposition.tsv")
-            assert "# command=replicate fig2b" in comments and f"# rho={float(rho)}" in comments
+            comments, header, rows = read_table(tmp_path / f"fig2b_rho_{rho}_decomposition.tsv")
+            assert "command=replicate fig2b" in comments and f"rho={float(rho)}" in comments
             assert header == ["tau", "k_x", "k_y", "product_term", "covariance_term"]
             assert len(rows) == 20
 
     def test_fig1d_panel_exponents(self, tmp_path):
         code = main(["replicate", "fig1d", "seed=11", "--out", str(tmp_path)])
         assert code == 0
-        _, header, rows = read_numeric(tmp_path / "fig1d_curves.tsv")
+        _, header, rows = read_table(tmp_path / "fig1d_curves.tsv")
         at_q2 = next(r for r in rows if float(r[0]) == 2.0)
         h_x, h_y = float(at_q2[1]), float(at_q2[2])
         assert h_x == pytest.approx(0.8, abs=0.08)
@@ -472,62 +444,32 @@ class TestReplicate:
     # kernel that preceded the row-block one
     GOLDEN = {"fig1a": "fig1a_curves.tsv", "fig2a": "fig2a_decomposition.tsv"}
 
-    @staticmethod
-    def golden_cells(path):
-        """Every line of a table as a list of cells, without version and timestamp lines.
-
-        A comment line's cells are its key and value.
-        """
-        lines = []
-        for line in Path(path).read_text().splitlines():
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                if key not in ("tool", "numpy", "scipy", "timestamp"):
-                    lines.append([key, value])
-            else:
-                lines.append(line.split("\t"))
-        return lines
-
     @pytest.mark.parametrize("figure", sorted(GOLDEN))
     def test_deterministic_panels_match_their_golden_tables(self, tmp_path, figure):
         assert main(["replicate", figure, "--out", str(tmp_path)]) == 0
         name = self.GOLDEN[figure]
-        got = self.golden_cells(tmp_path / name)
-        want = self.golden_cells(FIXTURES / f"replicate_{name}")
-        assert [len(cells) for cells in got] == [len(cells) for cells in want]
-        for got_cells, want_cells in zip(got, want):
-            for g, w in zip(got_cells, want_cells):
-                try:
-                    w_value = float(w)
-                except ValueError:  # a key, a note, NA or the no-scaling marker
-                    assert g == w, (got_cells, want_cells)
-                    continue
-                assert abs(float(g) - w_value) <= 1e-12 * abs(w_value), (got_cells, want_cells)
+        assert_same_table(tmp_path / name, FIXTURES / f"replicate_{name}")
 
 
 class TestManifest:
     def test_generate_manifest_replays_to_same_output(self, tmp_path):
         out1 = tmp_path / "first.csv"
         assert main(["generate", "mbm", "m0=0.35", "k=6", "--out", str(out1)]) == 0
-        manifest = {}
-        for line in out1.read_text().splitlines():
-            if line.startswith("# ") and "=" in line:
-                key, value = line[2:].split("=", 1)
-                manifest[key] = value
+        manifest = dict(c.split("=", 1) for c in read_table(out1)[0])
         command = manifest["command"].split()  # e.g. "generate mbm"
         args = command + [f"m0={manifest['m0']}", f"k={manifest['k']}"]
         out2 = tmp_path / "replayed.csv"
         assert main(args + ["--out", str(out2)]) == 0
-        assert strip_timestamp(out1) == strip_timestamp(out2)
+        assert lines_without(out1, "timestamp") == lines_without(out2, "timestamp")
 
     def test_records_numpy_and_scipy_versions(self, tmp_path):
         import scipy
 
         out = tmp_path / "g.csv"
         assert main(["generate", "mbm", "m0=0.35", "k=4", "--out", str(out)]) == 0
-        comments = read_numeric(out)[0]
-        assert f"# numpy={np.__version__}" in comments
-        assert f"# scipy={scipy.__version__}" in comments
+        comments = read_table(out)[0]
+        assert f"numpy={np.__version__}" in comments
+        assert f"scipy={scipy.__version__}" in comments
 
     def test_inputs_carry_digests(self, tmp_path):
         src = tmp_path / "p.csv"
@@ -553,8 +495,7 @@ class TestManifest:
             out = tmp_path / command
             assert main([command, *argv, "input=increments", "y_col=2", "--in", str(src),
                          "--out", str(out)]) == 0
-            keys = [line[2:].split("=", 1) for line in
-                    Path(f"{out}{suffix}").read_text().splitlines() if line.startswith("# ")]
+            keys = [c.split("=", 1) for c in read_table(f"{out}{suffix}")[0]]
             names = [key for key, _ in keys]
             assert len(names) == len(set(names)), (command, names)
             record = dict(keys)
@@ -858,8 +799,7 @@ def write_arfima_pair(path):
 
 def output_lines(root):
     """{file under root: its lines as bytes, without the timestamp line}."""
-    return {path.relative_to(root): [line for line in path.read_bytes().splitlines(True)
-                                     if not line.startswith(b"# timestamp=")]
+    return {path.relative_to(root): lines_without(path, "timestamp")
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
@@ -906,7 +846,8 @@ def test_module_entry_point_reads_its_own_argv(tmp_path):
                       "--out", tmp_path / "after.tsv")
     assert main(["decompose", "q=2", "tau_max=10", "y_col=2", "--in", str(pair),
                  "--out", str(tmp_path / "first.tsv")]) == 0
-    assert strip_timestamp(tmp_path / "after.tsv") == strip_timestamp(tmp_path / "first.tsv")
+    assert (lines_without(tmp_path / "after.tsv", "timestamp")
+            == lines_without(tmp_path / "first.tsv", "timestamp"))
 
 
 # ------------------------------------------------------------ market pipeline
@@ -924,37 +865,23 @@ MARKET_TRANSFORMS = {
 }
 
 
-def pinned_lines_digest(path):
-    skip = (b"# tool=", b"# numpy=", b"# scipy=", b"# timestamp=", b"# input1=")
-    lines = [line for line in Path(path).read_bytes().splitlines(True)
-             if not line.startswith(skip)]
-    return hashlib.sha256(b"".join(lines)).hexdigest()
+def assert_market_estimate_is_golden(out):
+    for kind in ("curve", "grid"):
+        # the input paths and digests change with each transform's timestamp
+        assert_same_table(f"{out}.{kind}.tsv", FIXTURES / f"market_estimate_{kind}.tsv",
+                          skip=rf"{VERSION_KEYS}|input\d+(_sha256)?")
 
 
 def test_market_pipeline_matches_its_golden_outputs(tmp_path):
     for out, (transform, source, digest) in MARKET_TRANSFORMS.items():
         assert main(["transform", *transform, "--in", str(FIXTURES / source),
                      "--out", str(tmp_path / out)]) == 0
-        assert pinned_lines_digest(tmp_path / out) == digest, out
+        pinned = lines_without(tmp_path / out, f"{VERSION_KEYS}|input1")
+        assert hashlib.sha256(b"".join(pinned)).hexdigest() == digest, out
     assert main(["estimate", "preset=real", "input=increments",
                  "--in", str(tmp_path / "absret.csv"), "--in", str(tmp_path / "voldev.csv"),
                  "--out", str(tmp_path / "market")]) == 0
-    for kind in ("curve", "grid"):
-        # the input paths and digests change with each transform's timestamp
-        got, want = ([cells for cells in TestReplicate.golden_cells(path)
-                      if not re.fullmatch(r"input\d+(_sha256)?", cells[0])]
-                     for path in (tmp_path / f"market.{kind}.tsv",
-                                  FIXTURES / f"market_estimate_{kind}.tsv"))
-        assert [len(cells) for cells in got] == [len(cells) for cells in want]
-        for got_cells, want_cells in zip(got, want):
-            for g, w in zip(got_cells, want_cells):
-                try:
-                    w_value = float(w)
-                except ValueError:  # a key, a note or NA
-                    assert g == w, (kind, got_cells, want_cells)
-                    continue
-                assert abs(float(g) - w_value) <= 1e-12 * abs(w_value), (kind, got_cells,
-                                                                          want_cells)
+    assert_market_estimate_is_golden(tmp_path / "market")
 
 
 @pytest.mark.parametrize("cut", [
@@ -971,17 +898,4 @@ def test_market_pipeline_from_reformatted_fixtures_gives_the_golden_estimate(tmp
     assert main(["estimate", "preset=real", "input=increments",
                  "--in", str(tmp_path / "absret.csv"), "--in", str(tmp_path / "voldev.csv"),
                  "--out", str(tmp_path / "market")]) == 0
-    for kind in ("curve", "grid"):
-        got, want = ([cells for cells in TestReplicate.golden_cells(path)
-                      if not re.fullmatch(r"input\d+(_sha256)?", cells[0])]
-                     for path in (tmp_path / f"market.{kind}.tsv",
-                                  FIXTURES / f"market_estimate_{kind}.tsv"))
-        assert [len(cells) for cells in got] == [len(cells) for cells in want]
-        for got_cells, want_cells in zip(got, want):
-            for g, w in zip(got_cells, want_cells):
-                try:
-                    w_value = float(w)
-                except ValueError:  # a key, a note or NA
-                    assert g == w, (kind, got_cells, want_cells)
-                    continue
-                assert abs(float(g) - w_value) <= 1e-12 * abs(w_value), (kind, want_cells)
+    assert_market_estimate_is_golden(tmp_path / "market")

@@ -1,10 +1,12 @@
 """Whole-column CSV reading and writing against the cell-by-cell originals.
 
-`oracle_read_columns`, `oracle_write_csv` and `oracle_write_table` are the
-line-by-line implementations the library used before it parsed and formatted
-whole columns, kept verbatim (with their helpers) as slow references. The
-library must return the same dates, names and column arrays, raise the same
-exception with the same message, and write the same bytes.
+`oracle_read_columns`, `oracle_write_csv` and `oracle_write_table` (in
+reference.py) are the line-by-line implementations the library used before it
+parsed and formatted whole columns, kept (with their helpers) as slow
+references; they format numbers themselves, not with the library's
+`format_number`. The library must return the same dates, names and column
+arrays, raise the same exception with the same message, and write the same
+bytes.
 """
 
 import os
@@ -19,104 +21,13 @@ from hypothesis import strategies as st
 from mfhxa import csvio
 from mfhxa.csvio import format_number, read_columns, read_series, write_csv, write_table
 from mfhxa.errors import CsvFormatError
-
-# ------------------------------------------------------------ slow references
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _split(line: str) -> list[str]:
-    if "\t" in line:
-        return [c.strip() for c in line.split("\t")]
-    if "," in line:
-        return [c.strip() for c in line.split(",")]
-    return [line.strip()]
-
-
-def oracle_read_columns(path) -> tuple[list[str] | None, list[np.ndarray], list[str]]:
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append((lineno, _split(line)))
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-
-    # shape is inferred from the first data row (the second row when a
-    # header is present, which the reference row itself reveals)
-    _, ref = rows[1] if len(rows) > 1 else rows[0]
-    has_dates = not _is_number(ref[0])
-    first_num = 1 if has_dates else 0
-    ncols = len(ref)
-    if ncols - first_num < 1 or not any(
-        _is_number(c) for c in ref[first_num:]
-    ):
-        raise CsvFormatError(f"{path}: no numeric columns found")
-
-    # header = first row non-numeric in a position that is numeric in data
-    _, first = rows[0]
-    has_header = len(rows) > 1 and any(
-        not _is_number(first[i]) for i in range(first_num, min(len(first), ncols))
-    )
-    names = (
-        [c for c in first[first_num:]]
-        if has_header
-        else [f"col{i + 1}" for i in range(ncols - first_num)]
-    )
-
-    dates: list[str] | None = [] if has_dates else None
-    cols: list[list[float]] = [[] for _ in range(ncols - first_num)]
-    for lineno, cells in rows[1:] if has_header else rows:
-        if len(cells) != ncols:
-            raise CsvFormatError(
-                f"{path}:{lineno}: expected {ncols} fields, got {len(cells)}"
-            )
-        if dates is not None:
-            dates.append(cells[0])
-        for j in range(first_num, ncols):
-            cell = cells[j]
-            if not _is_number(cell):
-                raise CsvFormatError(f"{path}:{lineno}: non-numeric value {cell!r}")
-            cols[j - first_num].append(float(cell))
-    return dates, [np.asarray(c) for c in cols], names
-
-
-def oracle_write_csv(path, comments: list[str], names: list[str], columns, dates=None) -> None:
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        head = (["date"] if dates is not None else []) + list(names)
-        fh.write(",".join(head) + "\n")
-        for i in range(n):
-            cells = [dates[i]] if dates is not None else []
-            cells += [format_number(col[i]) for col in columns]
-            fh.write(",".join(cells) + "\n")
-
-
-def oracle_write_table(path, comments: list[str], names: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
-        fh.write("\t".join(names) + "\n")
-        for row in rows:
-            fh.write("\t".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v.replace("\t", " ")
-    return format_number(v)
-
+from reference import (
+    is_number,
+    oracle_read_columns,
+    oracle_write_csv,
+    oracle_write_table,
+    split_line,
+)
 
 # ------------------------------------------------------------------ helpers
 
@@ -137,16 +48,16 @@ def header_mismatch(path):
     reference's own layout inference, which reads only the first two rows.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        rows = [_split(line) for line in map(str.strip, fh)
+        rows = [split_line(line) for line in map(str.strip, fh)
                 if line and not line.startswith("#")]
     if len(rows) < 2:
         return None
     first, ref = rows[0], rows[1]
-    first_num = 0 if _is_number(ref[0]) else 1
-    if len(ref) - first_num < 1 or not any(_is_number(c) for c in ref[first_num:]):
+    first_num = 0 if is_number(ref[0]) else 1
+    if len(ref) - first_num < 1 or not any(is_number(c) for c in ref[first_num:]):
         return None
     has_header = any(
-        not _is_number(first[i]) for i in range(first_num, min(len(first), len(ref)))
+        not is_number(first[i]) for i in range(first_num, min(len(first), len(ref)))
     )
     return (len(first), len(ref)) if has_header and len(first) != len(ref) else None
 
@@ -436,7 +347,7 @@ def test_write_table_formats_uniform_columns_as_the_reference(tmp_path, rows):
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 values = st.one_of(finite, st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]))
-labels = st.text(alphabet="abcxyz_-", min_size=1, max_size=6).filter(lambda s: not _is_number(s))
+labels = st.text(alphabet="abcxyz_-", min_size=1, max_size=6).filter(lambda s: not is_number(s))
 comment_lines = st.lists(st.text(alphabet="ab =,.\t#1", max_size=12), max_size=3)
 
 

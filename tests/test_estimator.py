@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfhxa
 from mfhxa import (
     ConfidenceUndefinedError,
     DegenerateScalingError,
@@ -599,12 +601,81 @@ class TestVerdict:
                                                                  tau_max_range=(5, 5))),
     lambda x, q: cross_persistence_verdict(x, x, q, EstimationConfig(q_grid=(2.0,),
                                                                      tau_max_range=(5, 5))),
-], ids=["height_covariance", "scaling_decomposition", "cross_persistence_verdict"])
+    lambda x, q: HeightCovarianceGrid((q,), (1,), np.ones((1, 1)), "x", "x",
+                                      EstimationConfig(q_grid=(1.0,), tau_max_range=(5, 5))),
+], ids=["height_covariance", "scaling_decomposition", "cross_persistence_verdict", "grid"])
 @pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0])
 def test_one_q_entry_points_share_one_q_rule(entry, q):
     with pytest.raises(ParameterError) as info:
         entry(series([1, 2, 3] * 4), q)
     assert str(info.value) == f"q must be finite and > 0, got {q}"
+
+
+# one valid value set per public config, to which the tests below apply one change
+VALID_CONFIGS = {
+    "ArfimaConfig": dict(d=0.3, length=10),
+    "EstimationConfig": dict(q_grid=(2.0,)),
+    "MbmConfig": dict(m0=0.3, k=2),
+    "NoisePairConfig": dict(rho=0.5, length=10),
+    "TwoComponentConfig": dict(d1=0.3, d2=0.1, w=0.75, length=10),
+}
+# every float-typed field of every public config, found as the CLI finds them
+FLOAT_FIELDS = [(name, field.name)
+                for name in sorted(n for n in mfhxa.__all__ if n.endswith("Config"))
+                for field in dataclasses.fields(getattr(mfhxa, name))
+                if typing.get_type_hints(getattr(mfhxa, name))[field.name] is float]
+
+
+def test_float_fields_are_found():
+    assert FLOAT_FIELDS == [("ArfimaConfig", "d"), ("EstimationConfig", "confidence"),
+                            ("MbmConfig", "m0"), ("NoisePairConfig", "rho"),
+                            ("TwoComponentConfig", "d1"), ("TwoComponentConfig", "d2"),
+                            ("TwoComponentConfig", "w")]
+
+
+@pytest.mark.parametrize("config, field", FLOAT_FIELDS)
+@pytest.mark.parametrize("bad", ["0.3", None, np.array([0.3, 0.4])], ids=["str", "none", "array"])
+def test_every_float_config_field_refuses_a_non_real(config, field, bad):
+    cls = getattr(mfhxa, config)
+    cls(**VALID_CONFIGS[config])
+    with pytest.raises(ParameterError) as info:
+        cls(**{**VALID_CONFIGS[config], field: bad})
+    assert str(info.value) == f"{field} must be a real number, got {bad!r}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mfhxa.arfima_weights("0.3", 5), "d must be a real number, got '0.3'"),
+    (lambda: student_t_quantile("0.5", 3), "p must be a real number, got '0.5'"),
+    (lambda: height_covariance(series([1, 2, 3] * 4), series([1, 2, 3] * 4), "2", 1),
+     "q must be a real number, got '2'"),
+    (lambda: HeightCovarianceGrid((None,), (1,), np.ones((1, 1)), "x", "x", synthetic_preset()),
+     "q must be a real number, got None"),
+], ids=["arfima_weights", "student_t_quantile", "height_covariance", "grid"])
+def test_non_real_arguments_are_parameter_errors(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mfhxa.MbmConfig(m0=1.5, k=4), "m0 must lie in (0, 1), got 1.5"),
+    (lambda: mfhxa.ArfimaConfig(d=0.5, length=10), "d must lie in (0, 0.5), got 0.5"),
+    (lambda: mfhxa.NoisePairConfig(rho=-1.5, length=10), "rho must lie in [-1, 1], got -1.5"),
+    (lambda: mfhxa.TwoComponentConfig(d1=0, d2=0.1, w=0.75, length=10),
+     "d1 must lie in (0, 0.5), got 0"),
+    (lambda: mfhxa.TwoComponentConfig(d1=0.3, d2=0.7, w=0.75, length=10),
+     "d2 must lie in (0, 0.5), got 0.7"),
+    (lambda: mfhxa.TwoComponentConfig(d1=0.3, d2=0.1, w=0.25, length=10),
+     "w must lie in [0.5, 1], got 0.25"),
+    (lambda: EstimationConfig(q_grid=(2.0,), confidence=1.0),
+     "confidence must lie in (0, 1), got 1.0"),
+    (lambda: student_t_quantile(1.5, 3), "p must lie in (0, 1), got 1.5"),
+    (lambda: mfhxa.arfima_weights(math.nan, 5), "d must lie in (0, 0.5), got nan"),
+])
+def test_range_messages_name_the_interval(call, message):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestKnownProcesses:

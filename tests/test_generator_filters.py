@@ -1,8 +1,9 @@
 """The FFT power-series generators against the sample-by-sample recursions.
 
-`recursion_oracle` and `two_component_oracle` are the direct loops that
-define the long-memory and two-component series: one dot product per sample
-over the truncated memory. The library computes the same series as exact
+`recursion_oracle` and `two_component_oracle` (in reference.py) are the
+direct loops that define the long-memory and two-component series: one dot
+product per sample over the truncated memory, with weights from the Gamma
+function formula. The library computes the same series as exact
 inverse power series convolved with the noise by FFT; these tests require
 agreement to 1e-12 relative to the largest value, and check causality,
 prefix stability and linearity, which catch FFT wrap-around and aliasing.
@@ -24,44 +25,9 @@ from mfhxa import (
     generate_two_component,
 )
 from mfhxa import generators
+from reference import recursion_oracle, two_component_oracle
 
 TOL = 1e-12
-
-
-def recursion_oracle(d, truncation, eps):
-    w = arfima_weights(d, truncation)
-    wrev = w[::-1].copy()  # wrev[truncation - m:] == [a_m, ..., a_1]
-    total = eps.size
-    x = np.empty(total)
-    for t in range(total):
-        m = min(t, truncation)
-        if m:
-            x[t] = eps[t] + np.dot(wrev[truncation - m :], x[t - m : t])
-        else:
-            x[t] = eps[t]
-    return x
-
-
-def two_component_oracle(config, eps, nu):
-    total = config.burn_in + config.length
-    trunc = config.truncation
-    w1rev = arfima_weights(config.d1, trunc)[::-1].copy()
-    w2rev = arfima_weights(config.d2, trunc)[::-1].copy()
-    w = config.w
-    x_series = np.empty(total)
-    y_series = np.empty(total)
-    for t in range(total):
-        m = min(t, trunc)
-        if m:
-            xm = np.dot(w1rev[trunc - m :], x_series[t - m : t])
-            ym = np.dot(w2rev[trunc - m :], y_series[t - m : t])
-        else:
-            xm = 0.0
-            ym = 0.0
-        x_series[t] = w * xm + (1.0 - w) * ym + eps[t]
-        y_series[t] = (1.0 - w) * xm + w * ym + nu[t]
-    b = config.burn_in
-    return x_series[b:], y_series[b:]
 
 
 def assert_close(got, ref, scale=None):

@@ -17,6 +17,7 @@ from mfhxa import (
     generate_mbm,
     generate_two_component,
 )
+from reference import ar_weights
 
 
 class TestArfimaWeights:
@@ -27,14 +28,10 @@ class TestArfimaWeights:
         # a_2 = d (1 - d) / 2
         assert arfima_weights(0.3, 3)[1] == pytest.approx(0.105, rel=1e-15)
 
-    def test_matches_log_gamma_formula(self):
-        d = 0.37
-        w = arfima_weights(d, 50)
-        oracle = [
-            d * math.exp(math.lgamma(i - d) - math.lgamma(1 - d) - math.lgamma(1 + i))
-            for i in range(1, 51)
-        ]
-        np.testing.assert_allclose(w, oracle, rtol=1e-10)
+    @pytest.mark.parametrize("d", [0.01, 0.1, 0.3, 0.37, 0.45, 0.499])
+    def test_matches_log_gamma_formula(self, d):
+        # the recursion oracles take their weights from the same formula
+        np.testing.assert_allclose(arfima_weights(d, 10_000), ar_weights(d, 10_000), rtol=1e-10)
 
     def test_positive_and_strictly_decreasing(self):
         w = arfima_weights(0.49, 200)

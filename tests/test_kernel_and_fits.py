@@ -1,14 +1,14 @@
 """The fused pair kernel and the prefix-sum window fits against slow references.
 
-The references here are the direct definitions: K and the product/covariance
-split by explicit summation over detrended increments, and one np.polyfit per
-tau_max window with the failure checks a per-window fit makes. The fast paths
+The references (in reference.py) are the direct definitions: K and the
+product/covariance split by explicit summation over detrended increments, and
+one np.polyfit per tau_max window with the failure checks a per-window fit
+makes. The fast paths
 in mfhxa.estimator must agree with them to 1e-12 and reproduce their failure
 messages byte for byte.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from scipy.stats import t as student_t
 
 from mfhxa import (
-    ConfidenceUndefinedError,
     DegenerateScalingError,
     EstimationConfig,
     HeightCovarianceGrid,
@@ -38,95 +37,10 @@ from mfhxa import (
     student_t_quantile,
 )
 from mfhxa.estimator import ALPHA_MIN_R2, FILTERS, _detrend_array, _power
+from reference import direct_moments, window_family, window_fit
 
 UNIFORM_QS = q_range(0.25, 6.0, 0.5)  # 12 evenly spaced q: the power-ladder path
 UNEVEN_QS = (0.3, 1.0, 2.5, 4.0, 7.5)  # direct powers
-
-
-# ------------------------------------------------------------- references
-
-def direct_increments(v: np.ndarray, tau: int, filt: str) -> np.ndarray:
-    d = v[tau:] - v[:-tau]
-    if filt == "constant":
-        return d - math.fsum(d) / d.size
-    if filt == "linear":
-        design = np.column_stack((np.ones(d.size), np.arange(d.size, dtype=float)))
-        return d - design @ np.linalg.lstsq(design, d, rcond=None)[0]
-    return d
-
-
-def direct_moments(x: np.ndarray, y: np.ndarray, q: float, tau: int, filt: str) -> dict:
-    dx = direct_increments(x, tau, filt)
-    dy = direct_increments(y, tau, filt)
-    n = dx.size
-    a = np.abs(dx) ** (0.5 * q)
-    b = np.abs(dy) ** (0.5 * q)
-    am, bm = math.fsum(a) / n, math.fsum(b) / n
-    return {
-        "k_xy": math.fsum(np.abs(dx * dy) ** (0.5 * q)) / n,
-        "k_xx": math.fsum(np.abs(dx) ** q) / n,
-        "k_yy": math.fsum(np.abs(dy) ** q) / n,
-        "product": am * bm,
-        "covariance": math.fsum((a - am) * (b - bm)) / n,
-    }
-
-
-def exact_slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    """OLS slope in rational arithmetic, exact for the given floats."""
-    xs = [Fraction(v) for v in xs]
-    ys = [Fraction(v) for v in ys]
-    xm = sum(xs) / len(xs)
-    return float(sum((x - xm) * y for x, y in zip(xs, ys)) / sum((x - xm) ** 2 for x in xs))
-
-
-def window_fit(grid: HeightCovarianceGrid, q: float, tau_max: int,
-               exact: bool = False) -> float:
-    """One tau_max window, fitted on its own (np.polyfit, or exact_slope)."""
-    taus = np.asarray(grid.tau_values, dtype=float)
-    mask = taus <= tau_max
-    k, t = grid.row(q)[mask], taus[mask]
-    if t.size < grid.config.min_fit_points:
-        raise InsufficientPointsError(
-            f"{t.size} tau values available up to tau_max={tau_max}, "
-            f"need {grid.config.min_fit_points}"
-        )
-    zero = np.flatnonzero(k <= 0)
-    if zero.size:
-        raise DegenerateScalingError(
-            f"K(q={q:g}, tau={int(t[zero[0]])}) = 0: scaling function is "
-            "degenerate, no Hurst exponent exists"
-        )
-    if exact:
-        return exact_slope(np.log(t), np.log(k)) / q
-    return float(np.polyfit(np.log(t), np.log(k), 1)[0]) / q
-
-
-def octaves(lo: int, hi: int) -> int:
-    n = 0
-    while lo * 2**n <= hi:
-        n += 1
-    return n
-
-
-def window_family(grid: HeightCovarianceGrid, q: float, config: EstimationConfig,
-                  exact: bool = False):
-    """(h, ci_low, ci_high, fits) from one window fit per tau_max, in order."""
-    lo, hi = config.tau_max_range
-    if lo == hi:
-        raise ConfidenceUndefinedError(
-            "confidence interval undefined for a single tau_max; widen tau_max_range"
-        )
-    fits = []
-    for tm in range(lo, hi + 1):
-        try:
-            fits.append(window_fit(grid, q, tm, exact))
-        except MfhxaError as exc:
-            raise type(exc)(f"tau_max={tm}: {exc}") from exc
-    h = float(np.mean(fits))
-    dof = min(len(fits) - 1, octaves(lo, hi))
-    half = float(student_t.ppf(0.5 * (1.0 + config.confidence), dof)) * float(
-        np.std(fits, ddof=1))
-    return h, h - half, h + half, fits
 
 
 def walk_pair(seed: int, rho: float = 0.5, n: int = 10_000):
@@ -411,7 +325,9 @@ def test_prefix_sum_fits_match_polyfit():
         curve = hurst_curve_from_grid(grid)
         for q in q_grid:
             try:
-                h, ci_low, ci_high, fits = window_family(grid, q, cfg, exact)
+                h, ci_low, ci_high, fits = window_family(
+                    grid.tau_values, grid.row(q), q, cfg.tau_max_range, cfg.min_fit_points,
+                    cfg.confidence, exact)
             except MfhxaError as exc:
                 assert (q, str(exc)) in curve.failures
                 continue
@@ -421,8 +337,8 @@ def test_prefix_sum_fits_match_polyfit():
                 assert close(got, want, scale=max(1.0, abs(want))), (trial, q, got, want)
             for got, want in ((est.h, h), (est.ci_low, ci_low), (est.ci_high, ci_high)):
                 assert close(got, want, scale=max(1.0, abs(want))), (trial, q, got, want)
-            assert close(fit_hurst_single(grid, q, hi), window_fit(grid, q, hi, exact),
-                         scale=max(1.0, abs(fits[-1])))
+            want = window_fit(grid.tau_values, grid.row(q), q, hi, cfg.min_fit_points, exact)
+            assert close(fit_hurst_single(grid, q, hi), want, scale=max(1.0, abs(fits[-1])))
 
 
 def test_failure_notes_match_window_by_window_fits():
@@ -443,7 +359,9 @@ def test_failure_notes_match_window_by_window_fits():
         want_failures = []
         for q in cfg.q_grid:
             try:
-                h, ci_low, ci_high, _ = window_family(grid, q, cfg)
+                h, ci_low, ci_high, _ = window_family(
+                    grid.tau_values, grid.row(q), q, cfg.tau_max_range, cfg.min_fit_points,
+                    cfg.confidence)
             except MfhxaError as exc:
                 want_failures.append((q, str(exc)))
                 with pytest.raises(type(exc)) as raised:

@@ -17,6 +17,7 @@ from mfhxa import (
 )
 from mfhxa.csvio import format_number
 from mfhxa.tables import write_curve, write_decomposition, write_grid, write_pair_curves
+from reference import read_table
 
 
 @pytest.fixture
@@ -27,26 +28,13 @@ def walk_pair():
     return x, y
 
 
-def parse(path):
-    comments, rows = [], []
-    header = None
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            comments.append(line[2:])
-        elif header is None:
-            header = line.split("\t")
-        else:
-            rows.append(line.split("\t"))
-    return comments, header, rows
-
-
 def test_grid_table_covers_lattice(tmp_path, walk_pair):
     x, y = walk_pair
     cfg = EstimationConfig(q_grid=(0.5, 2.0), tau_max_range=(5, 8))
     grid = covariance_grid(x, y, cfg)
     out = tmp_path / "grid.tsv"
     write_grid(out, grid)
-    comments, header, rows = parse(out)
+    comments, header, rows = read_table(out)
     assert header == ["q", "tau", "k"]
     assert len(rows) == 2 * 8
     assert any(c.startswith("q_grid=0.5,2") for c in comments)
@@ -61,7 +49,7 @@ def test_curve_table_has_interval_columns(tmp_path, walk_pair):
     curve = hurst_curve_from_grid(covariance_grid(x, x, cfg))
     out = tmp_path / "curve.tsv"
     write_curve(out, curve)
-    _, header, rows = parse(out)
+    _, header, rows = read_table(out)
     assert header == ["q", "h", "ci_low", "ci_high", "n", "note"]
     for row in rows:
         assert float(row[2]) <= float(row[1]) <= float(row[3])
@@ -81,7 +69,7 @@ def test_pair_curves_must_share_one_q_grid(tmp_path, walk_pair):
             write_pair_curves(out, *curves)
     assert not out.exists()
     write_pair_curves(out, xy, xx, yy)
-    _, header, rows = parse(out)
+    _, header, rows = read_table(out)
     assert [float(r[0]) for r in rows] == [1.0, 2.0]
 
 
@@ -105,7 +93,7 @@ def test_pair_curve_rows_note_each_failed_univariate_curve(tmp_path):
     yy = curve([est(1.0, 0.25), est(2.0, 0.25), y_failed, est(4.0, 0.25), y_failed], "y")
     out = tmp_path / "pair.tsv"
     write_pair_curves(out, xy, xx, yy)
-    _, header, rows = parse(out)
+    _, header, rows = read_table(out)
     assert header == ["q", "h_x", "h_y", "h_xy", "ci_low", "ci_high", "h_avg", "n", "note"]
     assert rows == [
         ["1", "NA", "0.25", "0.5", "0.375", "0.625", "NA", "2", f"x: {x_failed}"],
@@ -123,7 +111,7 @@ def test_decomposition_table_layout(tmp_path, walk_pair):
     moments = pair_moments(x, y, cfg, split=True)
     out = tmp_path / "dec.tsv"
     write_decomposition(out, moments, ["source=test"])
-    comments, header, rows = parse(out)
+    comments, header, rows = read_table(out)
     assert header == ["tau", "k_x", "k_y", "product_term", "covariance_term"]
     assert [c.split("=", 1)[0] for c in comments] == [
         "source", "q", "h_x", "h_y", "alpha", "alpha_n_points", "excluded_taus"]
