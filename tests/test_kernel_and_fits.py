@@ -3,9 +3,8 @@
 The references (in reference.py) are the direct definitions: K and the
 product/covariance split by explicit summation over detrended increments, and
 one np.polyfit per tau_max window with the failure checks a per-window fit
-makes. The fast paths
-in mfhxa.estimator must agree with them to 1e-12 and reproduce their failure
-messages byte for byte.
+makes. The fast paths in mfhxa.estimator must agree with them to 1e-12 and
+reproduce their failure messages byte for byte.
 """
 
 import math
